@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -163,19 +164,33 @@ def _load_cache(path: Path) -> dict:
         return {"format_version": CACHE_FORMAT_VERSION, "counts": {}}
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or data.get("format_version") != CACHE_FORMAT_VERSION:
+    version = data.get("format_version") if isinstance(data, dict) else None
+    if version != CACHE_FORMAT_VERSION:
         raise UsageError(
             f"cache file {path} has unsupported format-version "
-            f"{data.get('format_version')!r} (expected {CACHE_FORMAT_VERSION!r})"
+            f"{version!r} (expected {CACHE_FORMAT_VERSION!r})"
         )
-    data.setdefault("counts", {})
+    counts = data.setdefault("counts", {})
+    if not isinstance(counts, dict):
+        raise UsageError(f"cache file {path}: counts must be an object")
+    for key, count in counts.items():
+        if type(count) is not int:
+            raise UsageError(f"cache file {path}: count {key!r} is not an integer")
     return data
 
 
 def _save_cache(path: Path, cache: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cache, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # Write a sibling file and rename it over the cache, so that a failed
+    # write leaves the old cache whole.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(cache, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_sortable(args, out) -> int:
@@ -210,7 +225,7 @@ def cmd_enumerate(args, out) -> int:
     for n in range(1, args.max_len + 1):
         key = f"{spec.fingerprint}:{n}"
         if cache is not None and key in cache["counts"]:
-            counts.append(int(cache["counts"][key]))
+            counts.append(cache["counts"][key])
             continue
         c = count_members(spec, n, jobs=args.jobs)
         counts.append(c)

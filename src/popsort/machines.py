@@ -239,8 +239,16 @@ class Machine:
 # order), a PS pop stack must stay strictly decreasing read top to bottom
 # (a flush would wedge the stack otherwise), and an SP/SQP pop stack must
 # always hold a descending consecutive run (nothing else can ever be
-# flushed out).  `is_sortable_unpruned` explores the raw move graph and is
-# compared against these searches by the test suite.
+# flushed out).  In SQP the queue cannot reorder, so the values entering
+# it (`flow`) reach the pop stack in that order and must form a prefix of
+# a layered permutation: runs of consecutive values, each run decreasing,
+# the runs increasing (e.g. 2,1,3,6,5,4).  SQP pushes into the queue are
+# pruned to keep that invariant.  `is_sortable_unpruned` explores the raw
+# move graph and is compared against these searches by the test suite.
+#
+# Each recursive `dfs` refers to itself, a reference cycle that would keep
+# its `failed` memo alive until the cyclic garbage collector runs; the
+# searches delete the name on return so that the memo is freed at once.
 # ---------------------------------------------------------------------------
 
 
@@ -301,7 +309,10 @@ def _solve_ps(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         failed.add(key)
         return False
 
-    return dfs(0, 0, (), 1)
+    try:
+        return dfs(0, 0, (), 1)
+    finally:
+        del dfs
 
 
 def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
@@ -358,7 +369,10 @@ def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         failed.add(key)
         return False
 
-    return dfs(0, 0, (), 1)
+    try:
+        return dfs(0, 0, (), 1)
+    finally:
+        del dfs
 
 
 def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
@@ -395,7 +409,10 @@ def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         failed.add(key)
         return False
 
-    return dfs(0, (), (), 1)
+    try:
+        return dfs(0, (), (), 1)
+    finally:
+        del dfs
 
 
 def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
@@ -403,8 +420,10 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
     failed: set[tuple] = set()
 
     def dfs(i: int, stack: tuple[int, ...], flow: tuple[int, ...], d: int,
-            pop: tuple[int, ...], nn: int) -> bool:
-        # queue = flow[d:]
+            pop: tuple[int, ...], nn: int, lo: int, top: int, last: int) -> bool:
+        # queue = flow[d:]; flow is a layered prefix whose closed runs hold
+        # 1..lo-1 and whose open run is top..last (last == 0: none open).
+        # lo, top and last are functions of flow, so the key omits them.
         if pop and pop[-1] == nn:
             nn += len(pop)
             pop = ()
@@ -419,28 +438,35 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         if i < n:
             if rec is not None:
                 rec.append(Move.INPUT)
-            if dfs(i + 1, stack + (p[i],), flow, d, pop, nn):
+            if dfs(i + 1, stack + (p[i],), flow, d, pop, nn, lo, top, last):
                 return True
             if rec is not None:
                 del rec[mark:]
-        if stack:
+        if stack and (stack[-1] == last - 1 if last else stack[-1] >= lo):
+            x = stack[-1]
+            run_top = top if last else x
+            # pushing lo closes the run
+            runs = (run_top + 1, 0, 0) if x == lo else (lo, run_top, x)
             if rec is not None:
                 rec.append(Move.PUSH_ONE)
-            if dfs(i, stack[:-1], flow + (stack[-1],), d, pop, nn):
+            if dfs(i, stack[:-1], flow + (x,), d, pop, nn, *runs):
                 return True
             if rec is not None:
                 del rec[mark:]
         if d < len(flow) and (not pop or flow[d] == pop[-1] - 1):
             if rec is not None:
                 rec.append(Move.DEQUEUE)
-            if dfs(i, stack, flow, d + 1, pop + (flow[d],), nn):
+            if dfs(i, stack, flow, d + 1, pop + (flow[d],), nn, lo, top, last):
                 return True
             if rec is not None:
                 del rec[mark:]
         failed.add(key)
         return False
 
-    return dfs(0, (), (), 0, (), 1)
+    try:
+        return dfs(0, (), (), 0, (), 1, 1, 0, 0)
+    finally:
+        del dfs
 
 
 def _solve_di(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
@@ -478,7 +504,10 @@ def _solve_di(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         failed.add(key)
         return False
 
-    return dfs(0, (), (), 1)
+    try:
+        return dfs(0, (), (), 1)
+    finally:
+        del dfs
 
 
 _SOLVERS = {

@@ -2,6 +2,7 @@ import io
 import json
 
 import jsonschema
+import pytest
 
 import popsort.cli as cli
 from popsort.perms import parse
@@ -50,6 +51,17 @@ class TestSortable:
         code, text = run_cli("sortable", "--machine", "s", "--format", "text", "21")
         assert code == 0
         assert "sortable=True" in text
+
+    @pytest.mark.parametrize("perm, expected", [
+        ("6,7,8,5,14,13,12,11,10,1,3,4,2,9", True),
+        ("13,14,8,1,7,3,6,5,4,9,11,12,10,2", False),
+    ])
+    def test_sqp_length_fourteen_agrees_with_sp(self, perm, expected):
+        # Without the layered-queue pruning SQP ran for over a minute here.
+        code, sqp = run_json("sortable", "--machine", "sqp", perm)
+        assert code == 0
+        _, sp = run_json("sortable", "--machine", "sp", perm)
+        assert sqp["sortable"] is sp["sortable"] is expected
 
 
 class TestEnumerate:
@@ -115,6 +127,43 @@ class TestCache:
         run_cli("enumerate", "--machine", "s", "--max-len", "4", "--cache", str(cache))
         stored = json.loads(cache.read_text())
         assert len(stored["counts"]) == 8
+
+    @pytest.mark.parametrize("counts", [
+        [1, 2],
+        {"k:1": 2.9},
+        {"k:1": True},
+        {"k:1": "2"},
+    ])
+    def test_malformed_counts_rejected(self, tmp_path, counts):
+        cache = tmp_path / "counts.json"
+        cache.write_text(json.dumps({"format_version": "1", "counts": counts}))
+        code, _ = run_cli(
+            "enumerate", "--machine", "ps", "--max-len", "3", "--cache", str(cache)
+        )
+        assert code == 2
+
+    def test_non_object_cache_rejected(self, tmp_path):
+        cache = tmp_path / "counts.json"
+        cache.write_text("[]")
+        code, _ = run_cli(
+            "enumerate", "--machine", "ps", "--max-len", "3", "--cache", str(cache)
+        )
+        assert code == 2
+
+    def test_failed_save_keeps_old_cache(self, tmp_path, monkeypatch):
+        cache = tmp_path / "counts.json"
+        run_cli("enumerate", "--machine", "ps", "--max-len", "3", "--cache", str(cache))
+        before = cache.read_text()
+
+        def broken_dump(obj, fh, **kwargs):
+            fh.write('{"format_version": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", broken_dump)
+        with pytest.raises(OSError):
+            cli._save_cache(cache, {"format_version": "1", "counts": {}})
+        assert cache.read_text() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["counts.json"]
 
     def test_wrong_version_rejected(self, tmp_path):
         cache = tmp_path / "counts.json"

@@ -1,3 +1,6 @@
+import gc
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -138,6 +141,22 @@ class TestSortable:
         assert sorting_witness(kind, EMPTY) == []
 
 
+class TestMemoLifetime:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_search_leaves_no_garbage_cycle(self, kind):
+        # A memo kept alive by a reference cycle lingers until the cyclic
+        # collector runs and inflates peak memory over many searches.
+        p = parse("3142")
+        gc.collect()
+        gc.disable()
+        try:
+            is_sortable(kind, p)
+            sorting_witness(kind, p)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestWitness:
     def test_figure_trace(self):
         w = sorting_witness(MachineKind.PS, parse("356124"))
@@ -168,6 +187,34 @@ class TestWitness:
             w = sorting_witness(kind, p)
             if w is not None:
                 assert replay(kind, p, w) == identity(len(p))
+
+
+class TestWitnessStability:
+    """SQP witnesses hashed over all permutations up to a length.
+
+    The digests were recorded before the SQP queue pushes were pruned;
+    pruning only cuts subtrees without a success, so the first witness
+    found must not change.
+    """
+
+    @staticmethod
+    def sqp_digest(max_n):
+        h = hashlib.sha256()
+        for n in range(max_n + 1):
+            for p in all_perms(n):
+                w = sorting_witness(MachineKind.SQP, p)
+                h.update(f"{p}:{'-' if w is None else moves_to_text(w)}\n".encode())
+        return h.hexdigest()
+
+    def test_sqp_witnesses_to_six(self):
+        assert self.sqp_digest(6) == (
+            "94fd99cff0cc5971619bd62a2e51b42724f3f6dc793ce8ab4a2bd1237d0a71e9"
+        )
+
+    def test_sqp_witnesses_to_seven(self):
+        assert self.sqp_digest(7) == (
+            "c57f516bcd900a8218a00e314f1a9efdb9500b339f7481b74b6fdc3b36fc0f30"
+        )
 
 
 class TestReplay:
