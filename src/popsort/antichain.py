@@ -21,7 +21,7 @@ from .divided import (
 )
 from .perms import Permutation, contains, count_occurrences, delete_entry
 
-MAX_BASIS_ELEMENT_K = 4   # division scans stay desk-scale up to length 13
+MAX_BASIS_ELEMENT_K = 4   # division searches stay desk-scale up to length 13
 MAX_ANTICHAIN_K = 5
 
 
@@ -48,9 +48,12 @@ _FORBIDDEN_TEXTS = (
 )
 
 
+_FORBIDDEN = tuple(parse_divided(t) for t in _FORBIDDEN_TEXTS)
+
+
 def forbidden_divided_patterns() -> tuple[DividedPattern, ...]:
     """The eight divided patterns whose avoidance class the family obstructs."""
-    return tuple(parse_divided(t) for t in _FORBIDDEN_TEXTS)
+    return _FORBIDDEN
 
 
 def witness_division(p: Permutation) -> Optional[DividedPermutation]:

@@ -162,8 +162,11 @@ def _spec_from_args(args) -> ClassSpec:
 def _load_cache(path: Path) -> dict:
     if not path.exists():
         return {"format_version": CACHE_FORMAT_VERSION, "counts": {}}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read cache file {path}: {exc.strerror or exc}") from exc
     version = data.get("format_version") if isinstance(data, dict) else None
     if version != CACHE_FORMAT_VERSION:
         raise UsageError(
@@ -233,7 +236,12 @@ def cmd_enumerate(args, out) -> int:
             cache["counts"][key] = c
             dirty = True
     if cache_path and dirty:
-        _save_cache(cache_path, cache)
+        try:
+            _save_cache(cache_path, cache)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write cache file {cache_path}: {exc.strerror or exc}"
+            ) from exc
     rows = [{"n": n, "count": c} for n, c in enumerate(counts, start=1)]
     if args.format == "csv":
         buf = io.StringIO()

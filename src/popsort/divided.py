@@ -7,14 +7,24 @@ which each sigma_i sits inside a single host block, no two sigma_i share a
 host block, and no stray entries of the subsequence invade those blocks.
 An undivided pattern therefore has to land inside one block.
 
-The search space of all 2^(n-1) divisions of a permutation is scanned in
-increasing bitmask order (bit i-1 set = divider after position i), so
-returned witnesses are reproducible.
+Divisions are ordered by their divider bitmask (bit i-1 set = divider
+after position i), and exists_division_avoiding returns the first division
+in that order that avoids every pattern.  It does not scan the 2^(n-1)
+masks: it places entries from right to left, and at each position first
+lets the entry join the block on its right (no divider), then opens a new
+block.  Depth-first, that is increasing-mask order, since the highest bit
+is the divider nearest the right end.  Containment survives prepending
+entries and extending the leftmost block, so an occurrence found in a
+placed suffix prunes every completion of it, and placing position i needs
+to test only the occurrences whose first entry is i: those starting
+further right were tested when their first entry was placed.  Pruning
+drops only subtrees without an avoiding division, so the first division
+found is the first in mask order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .perms import ParseError, Permutation, _neighbor_bounds, parse
 
@@ -86,12 +96,20 @@ def _prep_pattern(pat: DividedPermutation):
     return pv, lo, hi, starts_block
 
 
-def _div_contains_raw(prep, hv: tuple[int, ...], hb: tuple[int, ...]) -> bool:
+def _div_contains_raw(
+    prep, hv: Sequence[int], hb: Sequence[int], first: Optional[int] = None
+) -> bool:
+    """Containment on raw values hv and non-decreasing block ids hb.
+
+    Block ids are compared only with each other, so any non-negative
+    non-decreasing ids work.  With first given, only occurrences whose first
+    entry is at position first count, and positions before it are not read.
+    """
     pv, lo, hi, starts_block = prep
     k, n = len(pv), len(hv)
     if k == 0:
         return True
-    if k > n:
+    if k > n - (first or 0):
         return False
     chosen = [0] * k
     cblock = [0] * k
@@ -123,7 +141,14 @@ def _div_contains_raw(prep, hv: tuple[int, ...], hb: tuple[int, ...]) -> bool:
                     return True
         return False
 
-    return extend(0, 0)
+    if first is None:
+        return extend(0, 0)
+    # The first pattern entry has no value bounds and opens a block.
+    if k == 1:
+        return True
+    chosen[0] = hv[first]
+    cblock[0] = hb[first]
+    return extend(1, first + 1)
 
 
 def div_contains(pattern: DividedPattern, host: DividedPermutation) -> bool:
@@ -159,17 +184,32 @@ def exists_division_avoiding(
     n = len(hv)
     if n == 0:
         return DividedPermutation(p, ())
+    # Place positions n-1 down to 0.  opened[i]: position i went into a new
+    # block instead of joining the block of position i+1, i.e. divider i+1
+    # is set.  Block ids fall by one per new block, from n-1 at the right
+    # end, so they stay non-negative.
     hb = [0] * n
-    for mask in range(1 << (n - 1)):
-        b = 0
-        for i in range(1, n):
-            if mask >> (i - 1) & 1:
-                b += 1
-            hb[i] = b
-        hbt = tuple(hb)
-        if not any(_div_contains_raw(prep, hv, hbt) for prep in preps):
-            return DividedPermutation(p, _dividers_of_mask(mask, n))
-    return None
+    opened = [False] * n
+    i = n - 1
+    hb[i] = n - 1
+    while True:
+        if not any(_div_contains_raw(prep, hv, hb, i) for prep in preps):
+            if i == 0:
+                return DividedPermutation(
+                    p, tuple(t + 1 for t in range(n - 1) if opened[t])
+                )
+            i -= 1
+            opened[i] = False
+            hb[i] = hb[i + 1]
+            continue
+        # Every completion contains an occurrence: back up to the nearest
+        # position still joined to its right-hand block and open it instead.
+        while i < n - 1 and opened[i]:
+            i += 1
+        if i == n - 1:
+            return None
+        opened[i] = True
+        hb[i] = hb[i + 1] - 1
 
 
 def blockwise_reverse(d: DividedPermutation) -> Permutation:

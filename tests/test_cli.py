@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -165,6 +166,21 @@ class TestCache:
         assert cache.read_text() == before
         assert [f.name for f in tmp_path.iterdir()] == ["counts.json"]
 
+    def test_cache_in_missing_directory_exits_2(self, tmp_path):
+        cache = tmp_path / "missing" / "counts.json"
+        code, _ = run_cli(
+            "enumerate", "--machine", "ps", "--max-len", "3", "--cache", str(cache)
+        )
+        assert code == 2
+        assert not cache.parent.exists()
+
+    def test_cache_naming_directory_exits_2(self, tmp_path):
+        code, _ = run_cli(
+            "enumerate", "--machine", "ps", "--max-len", "3", "--cache", str(tmp_path)
+        )
+        assert code == 2
+        assert tmp_path.is_dir()
+
     def test_wrong_version_rejected(self, tmp_path):
         cache = tmp_path / "counts.json"
         cache.write_text(json.dumps({"format_version": "0", "counts": {}}))
@@ -259,6 +275,14 @@ class TestAntichain:
     def test_max_k_one(self):
         code, doc = run_json("antichain", "--max-k", "1")
         assert code == 0 and doc["passed"] is True
+
+    def test_full_report_bytes_pinned(self):
+        # every witness_division of u_1..u_4's deletions is in this output
+        code, text = run_cli("antichain", "--max-k", "5")
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "27fee39a7a5fcfa390a43b353e86ab66bdcd4f24319340e9e51166c89d71dc00"
+        )
 
     def test_bound_guard(self):
         code, _ = run_cli("antichain", "--max-k", "9")

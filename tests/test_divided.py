@@ -1,24 +1,46 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import perm_strategy
+from popsort.antichain import forbidden_divided_patterns
 from popsort.divided import (
     DividedPermutation,
     all_divisions,
     blockwise_reverse,
+    div_avoids,
     div_contains,
     exists_division_avoiding,
     parse_divided,
     reachable_by_local_reversals,
 )
 from popsort.machines import DIVIDED_OBSTRUCTIONS, MachineKind, is_sortable
-from popsort.perms import EMPTY, ParseError, Permutation, all_perms, contains, parse, pattern_of
+from popsort.perms import (
+    EMPTY,
+    ParseError,
+    Permutation,
+    all_perms,
+    contains,
+    identity,
+    parse,
+    pattern_of,
+)
 
 PS_PATTERNS = DIVIDED_OBSTRUCTIONS[MachineKind.PS]
 PQS_PATTERNS = DIVIDED_OBSTRUCTIONS[MachineKind.PQS]
+PATTERN_SETS = {
+    "ps": PS_PATTERNS,
+    "pqs": PQS_PATTERNS,
+    "antichain": forbidden_divided_patterns(),
+}
+
+
+def first_avoiding_division(p, patterns):
+    """Reference: the first division in all_divisions order avoiding every pattern."""
+    return next((d for d in all_divisions(p) if div_avoids(d, patterns)), None)
 
 
 def naive_div_contains(pattern, host):
@@ -135,13 +157,38 @@ class TestExistsDivisionAvoiding:
         assert exists_division_avoiding(parse("2431"), PS_PATTERNS) is None
 
     def test_identity_returns_undivided(self):
-        for n in (1, 4, 6):
+        # at 2000, a search that recursed once per position would overflow
+        for n in (1, 4, 6, 2000):
             p = Permutation(tuple(range(1, n + 1)))
             d = exists_division_avoiding(p, PS_PATTERNS)
             assert d == DividedPermutation(p, ())
 
     def test_empty_permutation(self):
         assert exists_division_avoiding(EMPTY, PS_PATTERNS) == DividedPermutation(EMPTY)
+
+    # Equal divided permutations of one base have equal dividers.
+    @pytest.mark.parametrize("set_name", sorted(PATTERN_SETS))
+    def test_first_witness_matches_reference_to_seven(self, set_name):
+        pats = PATTERN_SETS[set_name]
+        for n in range(0, 8):
+            for p in all_perms(n):
+                assert exists_division_avoiding(p, pats) == first_avoiding_division(p, pats), p
+
+    @pytest.mark.parametrize("set_name", sorted(PATTERN_SETS))
+    def test_first_witness_matches_reference_random(self, set_name):
+        pats = PATTERN_SETS[set_name]
+        rng = random.Random(f"divisions:{set_name}")
+        for _ in range(30):
+            vals = list(range(1, rng.randint(9, 11) + 1))
+            rng.shuffle(vals)
+            p = Permutation(tuple(vals))
+            assert exists_division_avoiding(p, pats) == first_avoiding_division(p, pats), p
+
+    def test_decreasing_forty_divided_everywhere(self):
+        # 2^39 divisions; 21 forces a divider at every descent
+        p = identity(40).reverse()
+        d = exists_division_avoiding(p, PS_PATTERNS)
+        assert d is not None and d.dividers == tuple(range(1, 40))
 
 
 class TestBlockwiseReverse:
