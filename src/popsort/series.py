@@ -5,6 +5,21 @@ reduced with positive denominator), indexed 0..order.  Binary operations
 truncate to the smaller order.  Division strips common leading zeros and
 refuses anything that would need negative powers.
 
+Multiplication, division and square roots run on plain integers and build
+one `Fraction` per output coefficient.  Each operand is written as integer
+numerators over one common denominator (the lcm of its denominators):
+
+* a product is an integer convolution over the product of the two
+  denominators;
+* a quotient A/B substitutes x -> x/B0, which makes the divisor monic
+  (B~_j = B_j B0^(j-1), A~_k = A_k B0^k, for integer A and B); the
+  quotient numerators P_k then follow the integer recurrence
+  P_k = A~_k - sum_{t<k} P_t B~_(k-t), and q_k = P_k db / (B0^(k+1) da);
+* the square root of 1 + A/d substitutes x -> x/(4d), which leaves
+  1 + 4V with V an integer series; sqrt(1 + 4y) has integer coefficients,
+  so its root U does too, u_k = (A~_k - sum_{0<t<k} u_t u_(k-t)) / 2
+  divides exactly, and s_k = u_k / (4d)^k.
+
 On top of the arithmetic sit two independent expansions of the counting
 series of the permutations sortable by a pop stack feeding a stack: the
 closed form
@@ -16,15 +31,26 @@ and the fixed point of
     f = x + f^2/(1+f) + xf/(1-x) + (xf)^2 / ((1-x)(1-x-xf)),
 
 whose agreement (and agreement with brute-force counts) is checked by the
-test suite.
+test suite.  Every term of that right side has positive order in x or is
+a multiple of f^2, and f has no constant term, so coefficient r+1 of the
+right side depends only on f_0..f_r.  The iteration therefore fixes one
+more coefficient per round, and round r needs to work only to order r+1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+
+def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators and their one common denominator."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 @dataclass(frozen=True)
@@ -34,9 +60,9 @@ class PowerSeries:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a power series needs at least the constant term")
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
+        object.__setattr__(self, "coeffs", tuple(
+            c if type(c) is Fraction else Fraction(c) for c in self.coeffs
+        ))
 
     @property
     def order(self) -> int:
@@ -100,11 +126,13 @@ class PowerSeries:
         if o is None:
             return NotImplemented
         n = min(self.order, o.order)
-        a, b = self.coeffs, o.coeffs
-        out = []
-        for k in range(n + 1):
-            out.append(sum((a[t] * b[k - t] for t in range(k + 1)), Fraction(0)))
-        return PowerSeries(tuple(out))
+        a, da = _over_common_denominator(self.coeffs[: n + 1])
+        b, db = _over_common_denominator(o.coeffs[: n + 1])
+        d = da * db
+        rb = b[::-1]  # rb[n - k:] is b[k], ..., b[0]
+        return PowerSeries(tuple(
+            Fraction(sum(map(mul, a[: k + 1], rb[n - k:])), d) for k in range(n + 1)
+        ))
 
     __rmul__ = __mul__
 
@@ -125,12 +153,17 @@ class PowerSeries:
             a = a[kb:]
             b = b[kb:]
         n = min(len(a), len(b)) - 1
-        inv0 = 1 / Fraction(b[0])
-        q: list[Fraction] = []
+        num, da = _over_common_denominator(a[: n + 1])
+        den, db = _over_common_denominator(b[: n + 1])
+        b0 = den[0]
+        # x -> x/b0 makes the divisor monic: rb[n - k:] is B~_k, ..., B~_1
+        rb = [den[j] * b0 ** (j - 1) for j in range(n, 0, -1)]
+        p: list[int] = []
         for k in range(n + 1):
-            acc = a[k] - sum((q[t] * b[k - t] for t in range(k)), Fraction(0))
-            q.append(acc * inv0)
-        return PowerSeries(tuple(q))
+            p.append(num[k] * b0 ** k - sum(map(mul, p, rb[n - k:])))
+        return PowerSeries(tuple(
+            Fraction(pk * db, b0 ** (k + 1) * da) for k, pk in enumerate(p)
+        ))
 
     def __rtruediv__(self, other) -> "PowerSeries":
         o = self._coerce(other)
@@ -143,11 +176,15 @@ class PowerSeries:
         a = self.coeffs
         if a[0] != 1:
             raise ValueError(f"sqrt needs constant term 1, got {a[0]}")
-        s: list[Fraction] = [Fraction(1)]
+        num, d = _over_common_denominator(a)
+        # x -> x/(4d) leaves 1 + 4*(an integer series), whose root has
+        # integer coefficients u_k; then s_k = u_k / (4d)^k
+        step = 4 * d
+        u = [1]
         for k in range(1, len(a)):
-            acc = a[k] - sum((s[t] * s[k - t] for t in range(1, k)), Fraction(0))
-            s.append(acc / 2)
-        return PowerSeries(tuple(s))
+            acc = num[k] * step ** k // d - sum(map(mul, u[1:k], u[k - 1:0:-1]))
+            u.append(acc // 2)
+        return PowerSeries(tuple(Fraction(uk, step ** k) for k, uk in enumerate(u)))
 
     def truncate(self, order: int) -> "PowerSeries":
         if order >= self.order:
@@ -193,17 +230,18 @@ def _rhs(f: PowerSeries, x: PowerSeries) -> PowerSeries:
 def fixed_point(terms: int) -> PowerSeries:
     """The same series as the unique fixed point of its defining equation.
 
-    Iterates f <- rhs(f) from f = 0; every term of the right side has
-    positive order in x or in f, so each round fixes at least one more
-    coefficient and `terms` rounds suffice.
+    Iterates f <- rhs(f) from f = 0.  Round r fixes coefficient r+1 (see
+    the module docstring), so it evaluates the right side only to order
+    min(r+1, terms) and pads the result with zeros; once that order reaches
+    `terms`, a round that leaves f unchanged ends the iteration.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    x = PowerSeries.x(terms)
     f = PowerSeries.constant(0, terms)
-    for _ in range(terms + 2):
-        nxt = _rhs(f, x)
-        if nxt == f:
+    for r in range(terms + 2):
+        order = min(r + 1, terms)
+        nxt = _rhs(f.truncate(order), PowerSeries.x(order)).truncate(terms)
+        if order == terms and nxt == f:
             return f
         f = nxt
     raise AssertionError(f"fixed-point iteration did not settle within {terms + 2} rounds")

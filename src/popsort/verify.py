@@ -421,7 +421,7 @@ def _chk_series_sqrt(fast: bool):
 
 @_check("closed-form-equals-fixed-point")
 def _chk_series_agreement(fast: bool):
-    order = 12 if fast else 20
+    order = 40 if fast else 200
     if series.closed_form(order) != series.fixed_point(order):
         return False, f"closed form and fixed point diverge within order {order}"
     return True, f"closed form == fixed point to order {order}"

@@ -245,6 +245,23 @@ class TestSeries:
         _, enm = run_json("enumerate", "--machine", "ps", "--max-len", "6")
         assert srs["coefficients"] == [row["count"] for row in enm["counts"]]
 
+    @pytest.mark.parametrize("terms, method, digest", [
+        ("200", "closed", "caf98289a10d6c0dcb7ef7b041e7af0fe2a68982cf3b488cdba2eae1dd0dcf35"),
+        ("40", "fixpoint", "a5a9ba06cd241ee442c07f117a668723a106a8908f76459f7e0714fcee49ddb2"),
+    ], ids=["closed-200", "fixpoint-40"])
+    def test_output_bytes_pinned(self, terms, method, digest):
+        # digests recorded from the Fraction-loop arithmetic
+        code, text = run_cli("series", "--terms", terms, "--method", method)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_both_methods_agree_at_the_bound(self):
+        code, doc = run_json("series", "--terms", "200", "--method", "both")
+        assert code == 0 and doc["agreement"] is True
+        _, closed = run_json("series", "--terms", "200", "--method", "closed")
+        assert doc["coefficients"] == closed["coefficients"]
+        assert len(doc["coefficients"]) == 200
+
     def test_terms_guard(self):
         assert run_cli("series", "--terms", "0")[0] == 2
         assert run_cli("series", "--terms", "201")[0] == 2

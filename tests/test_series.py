@@ -2,24 +2,76 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from popsort.perms import contains_values
 from popsort.series import PowerSeries, closed_form, components, fixed_point
 
 
+rational_st = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+nonzero_rational_st = rational_st.filter(bool)
+
+
+def coeffs_st(order):
+    return st.lists(rational_st, min_size=order + 1, max_size=order + 1)
+
+
 def series_st(order=12, unit_constant=False, nonzero_constant=False):
-    def build(vals):
-        coeffs = [Fraction(a, b) for a, b in vals]
+    def build(coeffs):
         if unit_constant:
             coeffs[0] = Fraction(1)
         elif nonzero_constant and coeffs[0] == 0:
             coeffs[0] = Fraction(1, 3)
         return PowerSeries(tuple(coeffs))
 
-    pair = st.tuples(st.integers(-9, 9), st.integers(1, 9))
-    return st.lists(pair, min_size=order + 1, max_size=order + 1).map(build)
+    return coeffs_st(order).map(build)
+
+
+# The Fraction loops the integer kernel replaced, kept as its reference.
+
+def reference_mul(a, b):
+    n = min(len(a), len(b)) - 1
+    return tuple(
+        sum((a[t] * b[k - t] for t in range(k + 1)), Fraction(0)) for k in range(n + 1)
+    )
+
+
+def reference_div(a, b):
+    kb = next(k for k, c in enumerate(b) if c)
+    a, b = a[kb:], b[kb:]
+    n = min(len(a), len(b)) - 1
+    inv0 = 1 / Fraction(b[0])
+    q = []
+    for k in range(n + 1):
+        acc = a[k] - sum((q[t] * b[k - t] for t in range(k)), Fraction(0))
+        q.append(acc * inv0)
+    return tuple(q)
+
+
+def reference_sqrt(a):
+    s = [Fraction(1)]
+    for k in range(1, len(a)):
+        acc = a[k] - sum((s[t] * s[k - t] for t in range(1, k)), Fraction(0))
+        s.append(acc / 2)
+    return tuple(s)
+
+
+@st.composite
+def dividend_divisor_st(draw):
+    """Two series of orders 0-14; the divisor has 0-3 leading zeros, and
+    the dividend at least as many."""
+    a = draw(st.integers(0, 14).flatmap(coeffs_st))
+    b = draw(st.integers(0, 14).flatmap(coeffs_st))
+    zeros = draw(st.integers(0, min(3, len(a) - 1, len(b) - 1)))
+    a[:zeros] = [Fraction(0)] * zeros
+    b[:zeros] = [Fraction(0)] * zeros
+    b[zeros] = draw(nonzero_rational_st)
+    return PowerSeries(tuple(a)), PowerSeries(tuple(b))
+
+
+def all_fractions(s):
+    return all(type(c) is Fraction for c in s.coeffs)
 
 
 def brute_force_sortable_count(n: int) -> int:
@@ -109,6 +161,39 @@ class TestSqrt:
     def test_square_of_sqrt(self, a):
         s = a.sqrt()
         assert s * s == a
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=300)
+    @given(st.integers(0, 14).flatmap(coeffs_st), st.integers(0, 14).flatmap(coeffs_st))
+    def test_product(self, a, b):
+        got = PowerSeries(tuple(a)) * PowerSeries(tuple(b))
+        assert got.coeffs == reference_mul(a, b)
+        assert all_fractions(got)
+
+    @settings(max_examples=300)
+    @given(dividend_divisor_st())
+    @example((PowerSeries.from_coeffs([1, 2, 3], 2), PowerSeries.from_coeffs([-3, 1, 1], 2)))
+    @example((PowerSeries.from_coeffs([0, 0, 5, 1], 3),
+              PowerSeries.from_coeffs([0, 0, Fraction(-7, 2), 3], 3)))
+    def test_quotient(self, ab):
+        a, b = ab
+        got = a / b
+        assert got.coeffs == reference_div(a.coeffs, b.coeffs)
+        assert all_fractions(got)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 14).flatmap(coeffs_st))
+    def test_square_root(self, coeffs):
+        a = PowerSeries((Fraction(1), *coeffs[1:]))
+        got = a.sqrt()
+        assert got.coeffs == reference_sqrt(a.coeffs)
+        assert all_fractions(got)
+
+    def test_integer_inputs_give_fractions(self):
+        x = PowerSeries.x(3)
+        for got in (x * x, x / (1 - 2 * x), (1 - 6 * x).sqrt()):
+            assert all_fractions(got)
 
 
 class TestClosedForm:
