@@ -27,6 +27,11 @@ ENUMERATE_MAX_LEN = 11
 BASIS_MAX_LEN = {"pqs": 9}
 BASIS_MAX_LEN_DEFAULT = 10
 SERIES_MAX_TERMS = 200
+# Longest permutation `sortable` accepts.  The searches recurse once per
+# move, at most three frames per entry (SQP: input, push, dequeue; the other
+# kinds two), so 300 entries stay under Python's default recursion limit
+# of 1000 with room for the caller's frames.
+SORTABLE_MAX_LEN = 300
 PQS_BASIS_CONJECTURED_COUNT = 108
 
 # Schemas for the JSON emitted by each command (draft-07); the test suite
@@ -199,6 +204,8 @@ def _save_cache(path: Path, cache: dict) -> None:
 def cmd_sortable(args, out) -> int:
     kind = MachineKind.from_name(args.machine)
     p = parse(args.perm)
+    if len(p) > SORTABLE_MAX_LEN:
+        raise UsageError(f"permutation length must be at most {SORTABLE_MAX_LEN}, got {len(p)}")
     witness = machines.sorting_witness(kind, p)
     doc = {
         "machine": kind.value,

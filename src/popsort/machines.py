@@ -243,8 +243,23 @@ class Machine:
 # it (`flow`) reach the pop stack in that order and must form a prefix of
 # a layered permutation: runs of consecutive values, each run decreasing,
 # the runs increasing (e.g. 2,1,3,6,5,4).  SQP pushes into the queue are
-# pruned to keep that invariant.  `is_sortable_unpruned` explores the raw
-# move graph and is compared against these searches by the test suite.
+# pruned to keep that invariant.
+#
+# In SP and SQP every value leaves the stack for the pop stack in the
+# same order, and a pop stack sorts exactly the layered permutations
+# (Avis & Newborn 1981), so the stream leaving the stack must be layered.
+# Both searches refuse an INPUT by two rules (`_input_ceiling`):
+#   1. No stack z, y, x (bottom to top) with y < z < x: x leaves before
+#      the smaller y, so the two share a run and z, between them in value,
+#      must leave between them, but z leaves after y.  `ceil[k]` is the
+#      smallest value of stack[:k] with a smaller value above it (n + 1 if
+#      none); an entry above ceil[-1] is refused.  It is a function of the
+#      stack, so the memo key omits it.
+#   2. No INPUT while b - 1 is on top of the stack, where b ends the open
+#      run (SP: the pop stack's top; SQP: `last`): only b - 1 may leave
+#      the stack next, and a value put on it could never move.
+# `is_sortable_unpruned` explores the raw move graph and is compared
+# against these searches by the test suite.
 #
 # Each recursive `dfs` refers to itself, a reference cycle that would keep
 # its `failed` memo alive until the cyclic garbage collector runs; the
@@ -375,12 +390,27 @@ def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         del dfs
 
 
+def _input_ceiling(stack: tuple[int, ...], ceiling: int, x: int, b: int) -> int:
+    """The stack's ceiling once x is put on it, or 0 if that INPUT is dead.
+
+    `ceiling` is the current stack's; b ends the open run (0: none open).
+    """
+    if x > ceiling or (stack and stack[-1] == b - 1):
+        return 0
+    for v in stack:
+        if x < v < ceiling:
+            ceiling = v
+    return ceiling
+
+
 def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
     n = len(p)
     failed: set[tuple] = set()
 
-    def dfs(i: int, stack: tuple[int, ...], pop: tuple[int, ...], nn: int) -> bool:
-        # pop is kept a descending consecutive run, oldest (largest) first
+    def dfs(i: int, stack: tuple[int, ...], ceil: tuple[int, ...],
+            pop: tuple[int, ...], nn: int) -> bool:
+        # pop is kept a descending consecutive run, oldest (largest) first;
+        # ceil[k] is the ceiling of stack[:k]
         if pop and pop[-1] == nn:
             nn += len(pop)
             pop = ()
@@ -393,16 +423,18 @@ def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
             return False
         mark = len(rec) if rec is not None else 0
         if i < n:
-            if rec is not None:
-                rec.append(Move.INPUT)
-            if dfs(i + 1, stack + (p[i],), pop, nn):
-                return True
-            if rec is not None:
-                del rec[mark:]
+            c = _input_ceiling(stack, ceil[-1], p[i], pop[-1] if pop else 0)
+            if c:
+                if rec is not None:
+                    rec.append(Move.INPUT)
+                if dfs(i + 1, stack + (p[i],), ceil + (c,), pop, nn):
+                    return True
+                if rec is not None:
+                    del rec[mark:]
         if stack and (not pop or stack[-1] == pop[-1] - 1):
             if rec is not None:
                 rec.append(Move.PUSH_ONE)
-            if dfs(i, stack[:-1], pop + (stack[-1],), nn):
+            if dfs(i, stack[:-1], ceil[:-1], pop + (stack[-1],), nn):
                 return True
             if rec is not None:
                 del rec[mark:]
@@ -410,7 +442,7 @@ def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         return False
 
     try:
-        return dfs(0, (), (), 1)
+        return dfs(0, (), (n + 1,), (), 1)
     finally:
         del dfs
 
@@ -419,11 +451,12 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
     n = len(p)
     failed: set[tuple] = set()
 
-    def dfs(i: int, stack: tuple[int, ...], flow: tuple[int, ...], d: int,
-            pop: tuple[int, ...], nn: int, lo: int, top: int, last: int) -> bool:
+    def dfs(i: int, stack: tuple[int, ...], ceil: tuple[int, ...], flow: tuple[int, ...],
+            d: int, pop: tuple[int, ...], nn: int, lo: int, top: int, last: int) -> bool:
         # queue = flow[d:]; flow is a layered prefix whose closed runs hold
         # 1..lo-1 and whose open run is top..last (last == 0: none open).
-        # lo, top and last are functions of flow, so the key omits them.
+        # ceil[k] is the ceiling of stack[:k].  ceil, lo, top and last are
+        # functions of stack and flow, so the key omits them.
         if pop and pop[-1] == nn:
             nn += len(pop)
             pop = ()
@@ -436,12 +469,14 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
             return False
         mark = len(rec) if rec is not None else 0
         if i < n:
-            if rec is not None:
-                rec.append(Move.INPUT)
-            if dfs(i + 1, stack + (p[i],), flow, d, pop, nn, lo, top, last):
-                return True
-            if rec is not None:
-                del rec[mark:]
+            c = _input_ceiling(stack, ceil[-1], p[i], last)
+            if c:
+                if rec is not None:
+                    rec.append(Move.INPUT)
+                if dfs(i + 1, stack + (p[i],), ceil + (c,), flow, d, pop, nn, lo, top, last):
+                    return True
+                if rec is not None:
+                    del rec[mark:]
         if stack and (stack[-1] == last - 1 if last else stack[-1] >= lo):
             x = stack[-1]
             run_top = top if last else x
@@ -449,14 +484,14 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
             runs = (run_top + 1, 0, 0) if x == lo else (lo, run_top, x)
             if rec is not None:
                 rec.append(Move.PUSH_ONE)
-            if dfs(i, stack[:-1], flow + (x,), d, pop, nn, *runs):
+            if dfs(i, stack[:-1], ceil[:-1], flow + (x,), d, pop, nn, *runs):
                 return True
             if rec is not None:
                 del rec[mark:]
         if d < len(flow) and (not pop or flow[d] == pop[-1] - 1):
             if rec is not None:
                 rec.append(Move.DEQUEUE)
-            if dfs(i, stack, flow, d + 1, pop + (flow[d],), nn, lo, top, last):
+            if dfs(i, stack, ceil, flow, d + 1, pop + (flow[d],), nn, lo, top, last):
                 return True
             if rec is not None:
                 del rec[mark:]
@@ -464,7 +499,7 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         return False
 
     try:
-        return dfs(0, (), (), 0, (), 1, 1, 0, 0)
+        return dfs(0, (), (n + 1,), (), 0, (), 1, 1, 0, 0)
     finally:
         del dfs
 

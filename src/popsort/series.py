@@ -116,10 +116,14 @@ class PowerSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        n = min(self.order, o.order)
+        return PowerSeries(tuple(self.coeffs[k] - o.coeffs[k] for k in range(n + 1)))
 
     def __rsub__(self, other) -> "PowerSeries":
-        return (-self) + other
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other) -> "PowerSeries":
         o = self._coerce(other)

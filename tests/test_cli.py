@@ -6,7 +6,8 @@ import jsonschema
 import pytest
 
 import popsort.cli as cli
-from popsort.perms import parse
+from popsort.machines import MachineKind
+from popsort.perms import identity, parse
 
 
 def run_cli(*argv):
@@ -63,6 +64,20 @@ class TestSortable:
         assert code == 0
         _, sp = run_json("sortable", "--machine", "sp", perm)
         assert sqp["sortable"] is sp["sortable"] is expected
+
+    @pytest.mark.parametrize("machine", [k.value for k in MachineKind])
+    def test_length_bound(self, machine, capsys):
+        # Past the bound the recursive searches would end in RecursionError.
+        n = cli.SORTABLE_MAX_LEN
+        code, doc = run_json("sortable", "--machine", machine, str(identity(n)))
+        assert code == 0
+        assert doc["sortable"] is True
+        code, text = run_cli("sortable", "--machine", machine, str(identity(n + 1)))
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert f"at most {n}" in err
+        assert "Traceback" not in err
 
 
 class TestEnumerate:

@@ -1,10 +1,12 @@
 import gc
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import perm_strategy
+from popsort import machines
 from popsort.machines import (
     DIVIDED_OBSTRUCTIONS,
     IllegalMoveError,
@@ -22,7 +24,7 @@ from popsort.machines import (
     replay,
     sorting_witness,
 )
-from popsort.perms import EMPTY, all_perms, avoids, identity, parse
+from popsort.perms import EMPTY, Permutation, all_perms, avoids, identity, parse
 
 ALL_KINDS = list(MachineKind)
 
@@ -189,22 +191,55 @@ class TestWitness:
                 assert replay(kind, p, w) == identity(len(p))
 
 
-class TestWitnessStability:
-    """SQP witnesses hashed over all permutations up to a length.
+def random_member(kind, n, rng):
+    """A permutation that SP or SQP sorts, from a random run of the devices.
 
-    The digests were recorded before the SQP queue pushes were pruned;
-    pruning only cuts subtrees without a success, so the first witness
-    found must not change.
+    The raw moves of these machines never compare values: a run that turns
+    1..n into tau turns the inverse of tau into 1..n.
+    """
+    stack, queue, pop, out = [], [], [], []
+    fed = 0
+    while len(out) < n:
+        moves = ["input"] if fed < n else []
+        moves += [m for m, dev in (("push", stack), ("dequeue", queue), ("flush", pop)) if dev]
+        move = rng.choice(moves)
+        if move == "input":
+            fed += 1
+            stack.append(fed)
+        elif move == "push":
+            (queue if kind is MachineKind.SQP else pop).append(stack.pop())
+        elif move == "dequeue":
+            pop.append(queue.pop(0))
+        else:
+            out.extend(reversed(pop))
+            pop.clear()
+    inverse = [0] * n
+    for position, value in enumerate(out, start=1):
+        inverse[value - 1] = position
+    return Permutation(tuple(inverse))
+
+
+class TestWitnessStability:
+    """Witnesses hashed over all permutations up to a length, or over
+    seeded members.
+
+    The digests were recorded before the searches were pruned (the SQP
+    ones before its queue pushes were, the others before SP and SQP
+    refused dead INPUTs); pruning only cuts subtrees without a success,
+    so the first witness found must not change.
     """
 
     @staticmethod
-    def sqp_digest(max_n):
+    def digest(kind, perms):
         h = hashlib.sha256()
-        for n in range(max_n + 1):
-            for p in all_perms(n):
-                w = sorting_witness(MachineKind.SQP, p)
-                h.update(f"{p}:{'-' if w is None else moves_to_text(w)}\n".encode())
+        for p in perms:
+            w = sorting_witness(kind, p)
+            h.update(f"{p}:{'-' if w is None else moves_to_text(w)}\n".encode())
         return h.hexdigest()
+
+    @classmethod
+    def sqp_digest(cls, max_n):
+        return cls.digest(MachineKind.SQP, (p for n in range(max_n + 1) for p in all_perms(n)))
 
     def test_sqp_witnesses_to_six(self):
         assert self.sqp_digest(6) == (
@@ -214,6 +249,22 @@ class TestWitnessStability:
     def test_sqp_witnesses_to_seven(self):
         assert self.sqp_digest(7) == (
             "c57f516bcd900a8218a00e314f1a9efdb9500b339f7481b74b6fdc3b36fc0f30"
+        )
+
+    def test_sp_witnesses_to_seven(self):
+        perms = (p for n in range(8) for p in all_perms(n))
+        assert self.digest(MachineKind.SP, perms) == (
+            "ed581024b5995282705fc99597652ca44d6c316911f7dd890926585c8663de66"
+        )
+
+    def test_seeded_members(self):
+        rng = random.Random("witness-stability")
+        sp = [random_member(MachineKind.SP, rng.randint(40, 50), rng) for _ in range(30)]
+        sqp = [random_member(MachineKind.SQP, rng.randint(10, 12), rng) for _ in range(30)]
+        digests = self.digest(MachineKind.SP, sp), self.digest(MachineKind.SQP, sqp)
+        assert digests == (
+            "90afc60afed3ba417463676d35fde83eb19de42d82a838ad0accb3a9faa81d8c",
+            "dec647d483269d36b8dc17cd341e47dfd426af95210b86f7c8574265ed9b68cf",
         )
 
 
@@ -305,3 +356,56 @@ class TestPruningSoundness:
         for n in range(0, 6):
             for p in all_perms(n):
                 assert is_sortable(kind, p) == is_sortable_unpruned(kind, p), p
+
+
+class TestDeadInputRules:
+    """The two rules by which SP and SQP refuse an INPUT, each on a small
+    permutation where the search meets it."""
+
+    def test_ceiling(self):
+        assert machines._input_ceiling((), 4, 2, 0) == 4
+        assert machines._input_ceiling((2,), 4, 1, 0) == 2   # 2 now has 1 above it
+        assert machines._input_ceiling((2, 1), 2, 3, 0) == 0  # rule 1
+        assert machines._input_ceiling((1, 2), 5, 4, 3) == 0  # rule 2
+        assert machines._input_ceiling((1, 2), 5, 4, 0) == 5
+
+    @given(perm_strategy(max_n=9))
+    def test_ceiling_is_exact(self, p):
+        # Reading p onto a stack, rule 1 refuses exactly the first entry x
+        # that completes z, y, x (bottom to top) with y < z < x; until then
+        # the ceiling is the smallest value with a smaller value above it.
+        stack, ceiling = (), len(p) + 1
+        for x in p.values:
+            c = machines._input_ceiling(stack, ceiling, x, 0)
+            dead = any(y < z < x for a, z in enumerate(stack) for y in stack[a + 1:])
+            assert (c == 0) == dead
+            if dead:
+                break
+            stack += (x,)
+            assert c == min(
+                (z for a, z in enumerate(stack) if any(y < z for y in stack[a + 1:])),
+                default=len(p) + 1,
+            )
+            ceiling = c
+
+    @pytest.mark.parametrize("kind", [MachineKind.SP, MachineKind.SQP])
+    @pytest.mark.parametrize("text, refusal", [
+        # rule 1: 3 on the stack 2, 1 (ceiling 2)
+        ("213", ((2, 1), 2, 3, 0)),
+        # rule 2: 4 would bury 2, which the open run ending at 3 needs next
+        ("1324", ((1, 2), 5, 4, 3)),
+    ])
+    def test_refused_input_keeps_answer(self, kind, text, refusal, monkeypatch):
+        refused = []
+        rule = machines._input_ceiling
+
+        def spy(*args):
+            c = rule(*args)
+            if not c:
+                refused.append(args)
+            return c
+
+        monkeypatch.setattr(machines, "_input_ceiling", spy)
+        p = parse(text)
+        assert is_sortable(kind, p) == is_sortable_unpruned(kind, p) is True
+        assert refusal in refused

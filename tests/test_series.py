@@ -108,6 +108,14 @@ class TestArithmetic:
         assert (1 - x) == PowerSeries.from_coeffs([1, -1], 3)
         assert (2 * x)[1] == 2
 
+    @given(st.integers(0, 8).flatmap(coeffs_st), st.integers(0, 8).flatmap(coeffs_st),
+           st.one_of(rational_st, st.integers(-9, 9)))
+    def test_difference_adds_the_negation(self, a, b, c):
+        a, b = PowerSeries(tuple(a)), PowerSeries(tuple(b))
+        for got, want in ((a - b, a + (-b)), (c - a, (-a) + c), (a - c, a + (-c))):
+            assert got.coeffs == want.coeffs
+            assert all_fractions(got)
+
 
 class TestDivision:
     def test_shift_out_common_leading_zero(self):
