@@ -2,19 +2,29 @@
 
 A `ClassSpec` wraps a membership oracle (a finite basis, a machine kind,
 or an arbitrary named predicate) together with a canonical text and a
-stable fingerprint used as a cache key.  Counting is an honest exhaustive
-scan over all n! permutations; basis mining assumes the oracle describes a
-downward-closed set (the caller's responsibility) and walks lengths bottom
-up so that only permutations whose one-entry deletions are all members
-ever reach the oracle.
+stable fingerprint used as a cache key.
+
+Machine and basis classes are downward closed: deleting an entry of a
+member leaves a member.  They are counted and mined by a depth-first walk
+of the generating tree (West, 1995), in which a member of length k + 1
+is the child of the member of length k left by deleting its maximum.
+Inserting k + 1 into a member v of length k at site s (0 <= s <= k, the
+number of entries before it) gives a child when the oracle accepts it;
+the accepted sites are the active sites of v.  A member c made from v at
+site s can only have a child at site j when the matching site of v,
+j if j <= s else j - 1, is active: deleting k + 1 from that child leaves v
+with the maximum at the matching site.  So each member is made once, by
+an oracle call on one of the |active(v)| + 1 candidates of its parent,
+and the walk keeps no set of members.  Predicate-backed classes are not
+assumed closed and are counted by a scan of all n! permutations.
 """
 from __future__ import annotations
 
 import hashlib
-import itertools
 import multiprocessing
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import cache
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import machines
 from .machines import MachineKind
@@ -98,68 +108,130 @@ def _rebuild_spec(descriptor: tuple) -> ClassSpec:
     raise ValueError(f"unknown spec descriptor {descriptor!r}")
 
 
-def _count_partition(args: tuple) -> int:
-    descriptor, n, first = args
-    spec = _rebuild_spec(descriptor)
-    rest = [v for v in range(1, n + 1) if v != first]
-    return sum(
-        1
-        for tail in itertools.permutations(rest)
-        if spec.member(Permutation((first,) + tail))
-    )
+def _walk(
+    member: Callable[[Permutation], bool],
+    max_len: int,
+    vals: tuple[int, ...] = (),
+    sites: int = 1,
+    rejected: list[tuple[int, ...]] | None = None,
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Members of length <= max_len below the member vals, depth first.
+
+    Yields (values, candidates) for each member, where bit s of the
+    candidate mask marks site s as one the member's children may use;
+    `sites` is that mask for vals itself.  Candidates the oracle rejects
+    are appended to `rejected` when it is given.  The oracle must describe
+    a downward-closed class.
+    """
+    stack = [(vals, sites)] if len(vals) < max_len else []
+    while stack:
+        v, cand = stack.pop()
+        k = len(v)
+        top = (k + 1,)
+        active = 0
+        children = []
+        for s in range(k + 1):
+            if cand >> s & 1:
+                c = v[:s] + top + v[s:]
+                if member(Permutation(c)):
+                    active |= 1 << s
+                    children.append((s, c))
+                elif rejected is not None:
+                    rejected.append(c)
+        deeper = k + 2 <= max_len
+        for s, c in children:
+            # Sites up to s keep their index; site s of v splits into the
+            # two sites either side of k + 1; later sites shift right.
+            c_sites = (active & ((2 << s) - 1)) | (active >> s << (s + 1))
+            yield c, c_sites
+            if deeper:
+                stack.append((c, c_sites))
+
+
+def _count_walk(spec: ClassSpec, n: int, vals: tuple[int, ...] = (), sites: int = 1) -> int:
+    return sum(1 for v, _ in _walk(spec.member, n, vals, sites) if len(v) == n)
+
+
+# With jobs > 1 the walk is split into the subtrees below the members of
+# this length, one task each.
+_PARTITION_LEN = 4
+
+
+def _count_subtree(args: tuple) -> int:
+    descriptor, n, vals, sites = args
+    return _count_walk(_rebuild_spec(descriptor), n, vals, sites)
 
 
 def count_members(spec: ClassSpec, n: int, jobs: int = 1) -> int:
-    """Number of length-n members, by exhaustive scan of all n! permutations.
+    """Number of length-n members.
 
-    With jobs > 1 the scan is partitioned by first entry across worker
-    processes; the aggregate is an order-independent integer sum, so the
-    result is identical for any job count.  Predicate-backed specs cannot
-    cross a process boundary and fall back to the serial scan.
+    Machine and basis specs (the ones with a descriptor) are downward
+    closed and are counted by walking the generating tree to length n.
+    With jobs > 1 and n > _PARTITION_LEN the walk is split into the
+    subtrees below the members of length _PARTITION_LEN, counted in worker
+    processes and summed in a fixed order, so the result is identical for
+    any job count.  Predicate-backed specs, which may not be closed and
+    cannot cross a process boundary, are counted by a serial scan of all
+    n! permutations.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1 if spec.member(EMPTY) else 0
-    if jobs > 1 and spec.descriptor is not None and n >= 4:
-        tasks = [(spec.descriptor, n, first) for first in range(1, n + 1)]
+    if spec.descriptor is None:
+        return sum(1 for p in all_perms(n) if spec.member(p))
+    if jobs > 1 and n > _PARTITION_LEN:
+        tasks = [
+            (spec.descriptor, n, v, sites)
+            for v, sites in _walk(spec.member, _PARTITION_LEN)
+            if len(v) == _PARTITION_LEN
+        ]
         with multiprocessing.Pool(jobs) as pool:
-            return sum(pool.map(_count_partition, tasks))
-    return sum(1 for p in all_perms(n) if spec.member(p))
+            return sum(pool.map(_count_subtree, tasks))
+    return _count_walk(spec, n)
 
 
-def _deletion_patterns(vals: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    for t, v in enumerate(vals):
-        yield tuple(w - (w > v) for s, w in enumerate(vals) if s != t)
+def _by_length(vals: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    return len(vals), vals
 
 
 def compute_basis(spec: ClassSpec, max_len: int) -> list[Permutation]:
-    """Minimal non-members up to max_len: every one-entry deletion a member.
+    """Minimal non-members up to max_len, sorted by (length, values).
 
-    Requires a downward-closed oracle; under that assumption a permutation
-    with a non-member deletion is itself a non-member, so the oracle is
-    only consulted on permutations whose deletions all survived the
-    previous level.
+    Requires a downward-closed oracle.  Every basis element is a candidate
+    of the generating-tree walk that the oracle rejects (deleting its
+    maximum leaves a member, and deleting any other entry does too), so
+    the walk to max_len collects them all.  A rejected candidate of length
+    m is minimal when its one-entry deletions are members; deleting m
+    leaves its parent and deleting m - 1 leaves a member by the choice of
+    candidates, so only the other m - 2 deletions are tested.
     """
-    basis: list[Permutation] = []
     if max_len < 1:
-        return basis
+        return []
     if not spec.member(Permutation((1,))):
         raise MalformedOracleError(
             f"{spec.name}: oracle rejects the singleton permutation; "
             "basis mining expects a class containing 1"
         )
-    prev: set[tuple[int, ...]] = {(1,)}
-    for n in range(2, max_len + 1):
-        cur: set[tuple[int, ...]] = set()
-        for vals in itertools.permutations(range(1, n + 1)):
-            if all(d in prev for d in _deletion_patterns(vals)):
-                if spec.member(Permutation(vals)):
-                    cur.add(vals)
-                else:
-                    basis.append(Permutation(vals))
-        prev = cur
-    return basis
+    rejected: list[tuple[int, ...]] = []
+    for _ in _walk(spec.member, max_len, (1,), 0b11, rejected):
+        pass
+    rejected.sort(key=_by_length)
+    # Rejected candidates share deletions; each is put to the oracle once.
+    is_member = cache(lambda vals: spec.member(Permutation(vals)))
+    return [
+        Permutation(vals)
+        for vals in rejected
+        if all(is_member(d) for d in _lower_deletions(vals))
+    ]
+
+
+def _lower_deletions(vals: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The one-entry deletions of vals that remove a value below m - 1."""
+    m = len(vals)
+    for t, v in enumerate(vals):
+        if v < m - 1:
+            yield tuple(w - (w > v) for s, w in enumerate(vals) if s != t)
 
 
 @dataclass(frozen=True)
@@ -208,18 +280,13 @@ def wilf_table(specs: Sequence[ClassSpec], max_n: int, jobs: int = 1) -> WilfTab
 def simples_in_class(basis: Iterable[Permutation], max_len: int) -> list[Permutation]:
     """All simple permutations of length <= max_len avoiding the basis.
 
-    Simplicity is checked first so only the (much rarer) simple candidates
-    pay for pattern containment tests.
+    Walks the generating tree of Av(basis) and keeps its simple members,
+    sorted by (length, values).
     """
-    pats = [p.values for p in basis]
-    out: list[Permutation] = []
-    for n in range(1, max_len + 1):
-        for vals in itertools.permutations(range(1, n + 1)):
-            if is_simple_values(vals) and not any(
-                contains_values(pv, vals) for pv in pats
-            ):
-                out.append(Permutation(vals))
-    return out
+    spec = ClassSpec.from_basis(basis)
+    simples = [v for v, _ in _walk(spec.member, max_len) if is_simple_values(v)]
+    simples.sort(key=_by_length)
+    return [Permutation(v) for v in simples]
 
 
 # ---------------------------------------------------------------------------

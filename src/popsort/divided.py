@@ -96,21 +96,18 @@ def _prep_pattern(pat: DividedPermutation):
     return pv, lo, hi, starts_block
 
 
-def _div_contains_raw(
-    prep, hv: Sequence[int], hb: Sequence[int], first: Optional[int] = None
-) -> bool:
-    """Containment on raw values hv and non-decreasing block ids hb.
+def _matcher(prep, hv: Sequence[int], hb: Sequence[int]) -> Callable[[Optional[int]], bool]:
+    """Containment test of one prepared pattern on raw values hv and
+    non-decreasing block ids hb.
 
     Block ids are compared only with each other, so any non-negative
-    non-decreasing ids work.  With first given, only occurrences whose first
-    entry is at position first count, and positions before it are not read.
+    non-decreasing ids work.  The test reads hb when called, so a search
+    may change the block ids between calls.  Called with first, only
+    occurrences whose first entry is at position first count, and
+    positions before it are not read.
     """
     pv, lo, hi, starts_block = prep
     k, n = len(pv), len(hv)
-    if k == 0:
-        return True
-    if k > n - (first or 0):
-        return False
     chosen = [0] * k
     cblock = [0] * k
 
@@ -141,14 +138,26 @@ def _div_contains_raw(
                     return True
         return False
 
-    if first is None:
-        return extend(0, 0)
-    # The first pattern entry has no value bounds and opens a block.
-    if k == 1:
-        return True
-    chosen[0] = hv[first]
-    cblock[0] = hb[first]
-    return extend(1, first + 1)
+    def occurs(first: Optional[int] = None) -> bool:
+        if k == 0:
+            return True
+        if first is None:
+            return k <= n and extend(0, 0)
+        if k > n - first:
+            return False
+        # The first pattern entry has no value bounds and opens a block.
+        if k == 1:
+            return True
+        chosen[0] = hv[first]
+        cblock[0] = hb[first]
+        return extend(1, first + 1)
+
+    return occurs
+
+
+def _div_contains_raw(prep, hv: Sequence[int], hb: Sequence[int]) -> bool:
+    """Containment anywhere in the host; see `_matcher`."""
+    return _matcher(prep, hv, hb)()
 
 
 def div_contains(pattern: DividedPattern, host: DividedPermutation) -> bool:
@@ -179,7 +188,6 @@ def exists_division_avoiding(
     p: Permutation, patterns: Iterable[DividedPattern]
 ) -> Optional[DividedPermutation]:
     """First division of p (in all_divisions order) avoiding every pattern."""
-    preps = [_prep_pattern(pat) for pat in patterns]
     hv = p.values
     n = len(hv)
     if n == 0:
@@ -189,11 +197,15 @@ def exists_division_avoiding(
     # is set.  Block ids fall by one per new block, from n-1 at the right
     # end, so they stay non-negative.
     hb = [0] * n
+    matchers = [_matcher(_prep_pattern(pat), hv, hb) for pat in patterns]
     opened = [False] * n
     i = n - 1
     hb[i] = n - 1
     while True:
-        if not any(_div_contains_raw(prep, hv, hb, i) for prep in preps):
+        for occurs in matchers:
+            if occurs(i):
+                break
+        else:
             if i == 0:
                 return DividedPermutation(
                     p, tuple(t + 1 for t in range(n - 1) if opened[t])

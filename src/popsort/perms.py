@@ -286,28 +286,6 @@ def _shortest_skew_prefix(v: tuple[int, ...]) -> int:
     return 0
 
 
-def is_sum_decomposable(p: Permutation) -> bool:
-    return _shortest_sum_prefix(p.values) > 0
-
-
-def is_skew_decomposable(p: Permutation) -> bool:
-    return _shortest_skew_prefix(p.values) > 0
-
-
-def sum_components(p: Permutation) -> list[Permutation]:
-    """Maximal decomposition pi = a1 (+) a2 (+) ... with each ai sum-indecomposable."""
-    v = p.values
-    comps = []
-    start = 0
-    mx = 0
-    for i, w in enumerate(v):
-        mx = max(mx, w)
-        if mx == i + 1:
-            comps.append(Permutation(pattern_of(v[start : i + 1])))
-            start = i + 1
-    return comps
-
-
 def substitution_decompose(p: Permutation) -> tuple[Permutation, list[Permutation]]:
     """Split pi into its unique simple quotient and inflation parts.
 

@@ -1,5 +1,10 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import perm_strategy
 from popsort.classes import (
     ClassSpec,
     MalformedOracleError,
@@ -9,12 +14,56 @@ from popsort.classes import (
     structural_member,
     wilf_table,
 )
-from popsort.machines import MachineKind, PS_BASIS
-from popsort.perms import all_perms, avoids, inflate, parse
+from popsort.machines import MachineKind, PS_BASIS, is_sortable
+from popsort.perms import (
+    Permutation,
+    all_perms,
+    avoids,
+    inflate,
+    one_entry_deletions,
+    parse,
+)
 from popsort.series import closed_form
 
 PS_SPEC = ClassSpec.from_machine(MachineKind.PS)
 PS_BASIS_SPEC = ClassSpec.from_basis(PS_BASIS)
+# Av(231), Av(2431, 3142) and the three Wilf-equivalent classes of
+# acceptance criterion 10.
+WALKED_BASES = (
+    ("231",),
+    ("2431", "3142"),
+    ("2431", "3142", "3241"),
+    ("2431", "4231", "4321"),
+    ("2143", "2413", "3142"),
+)
+
+
+def scan_count(spec, n):
+    """Reference count: every permutation of length n put to the oracle."""
+    return sum(1 for p in all_perms(n) if spec.member(p))
+
+
+def level_basis(spec, max_len):
+    """Reference basis mining, length by length: a permutation reaches the
+    oracle only when its one-entry deletions are all members of the
+    previous length."""
+
+    def deletions(vals):
+        for t, v in enumerate(vals):
+            yield tuple(w - (w > v) for s, w in enumerate(vals) if s != t)
+
+    basis = []
+    prev = {(1,)}
+    for n in range(2, max_len + 1):
+        cur = set()
+        for vals in itertools.permutations(range(1, n + 1)):
+            if all(d in prev for d in deletions(vals)):
+                if spec.member(Permutation(vals)):
+                    cur.add(vals)
+                else:
+                    basis.append(Permutation(vals))
+        prev = cur
+    return basis
 
 
 class TestClassSpec:
@@ -57,6 +106,87 @@ class TestCountMembers:
     def test_machine_and_basis_agree_for_ps(self):
         for n in range(0, 7):
             assert count_members(PS_SPEC, n) == count_members(PS_BASIS_SPEC, n)
+
+
+class TestWalkAgainstReferences:
+    @pytest.mark.parametrize("kind", list(MachineKind), ids=lambda k: k.value)
+    def test_machine_counts_equal_scan(self, kind):
+        spec = ClassSpec.from_machine(kind)
+        top = 7 if kind is MachineKind.SQP else 8
+        lengths = range(0, top + 1)
+        assert [count_members(spec, n) for n in lengths] == [
+            scan_count(spec, n) for n in lengths
+        ]
+
+    @pytest.mark.parametrize("texts", WALKED_BASES, ids=",".join)
+    def test_basis_counts_equal_scan(self, texts):
+        spec = ClassSpec.from_basis([parse(t) for t in texts])
+        lengths = range(0, 9)
+        assert [count_members(spec, n) for n in lengths] == [
+            scan_count(spec, n) for n in lengths
+        ]
+
+    @pytest.mark.parametrize(
+        "kind",
+        [MachineKind.S, MachineKind.PS, MachineKind.PQS, MachineKind.SP, MachineKind.DI],
+        ids=lambda k: k.value,
+    )
+    def test_basis_equals_level_by_level_mining(self, kind):
+        spec = ClassSpec.from_machine(kind)
+        assert compute_basis(spec, 8) == level_basis(spec, 8)
+
+    @pytest.mark.parametrize(
+        "spec", [ClassSpec.from_machine(MachineKind.PQS), PS_BASIS_SPEC], ids=str
+    )
+    def test_jobs_split_by_subtree(self, spec):
+        assert count_members(spec, 7, jobs=2) == count_members(spec, 7, jobs=1)
+
+    def test_basis_to_length_one_is_empty(self):
+        assert compute_basis(ClassSpec.from_basis([parse("12")]), 1) == []
+        assert compute_basis(ClassSpec.from_basis([parse("12")]), 2) == [parse("12")]
+
+    def test_class_without_singleton_counts_zero(self):
+        spec = ClassSpec.from_basis([parse("1")])
+        assert [count_members(spec, n) for n in range(0, 4)] == [1, 0, 0, 0]
+
+
+@st.composite
+def grown_member(draw, kind, max_n=10):
+    """A member grown from the empty permutation by inserting the maximum at
+    a random site, among all sites that keep it sortable."""
+    vals = ()
+    for k in range(draw(st.integers(0, max_n))):
+        top = (k + 1,)
+        sites = [
+            s
+            for s in range(k + 1)
+            if is_sortable(kind, Permutation(vals[:s] + top + vals[s:]))
+        ]
+        s = draw(st.sampled_from(sites))
+        vals = vals[:s] + top + vals[s:]
+    return Permutation(vals)
+
+
+class TestDownwardClosure:
+    """The walk's precondition: every one-entry deletion of a member is a
+    member.  DI, whose stacks compare values, is the least obvious kind."""
+
+    @pytest.mark.parametrize("kind", list(MachineKind), ids=lambda k: k.value)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_grown_members(self, kind, data):
+        p = data.draw(grown_member(kind))
+        assert is_sortable(kind, p)
+        for d in one_entry_deletions(p):
+            assert is_sortable(kind, d), (p, d)
+
+    @pytest.mark.parametrize("kind", list(MachineKind), ids=lambda k: k.value)
+    @settings(max_examples=100, deadline=None)
+    @given(p=perm_strategy(10))
+    def test_uniform_inputs(self, kind, p):
+        if is_sortable(kind, p):
+            for d in one_entry_deletions(p):
+                assert is_sortable(kind, d), (p, d)
 
 
 class TestComputeBasis:

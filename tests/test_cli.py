@@ -124,6 +124,34 @@ class TestEnumerate:
         assert code == 2
 
 
+class TestClassWalkOutput:
+    """stdout of class commands, hashed; recorded while counting and basis
+    mining still scanned every permutation of each length."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("enumerate", "--machine", "pqs", "--max-len", "8"),
+                "a44fa9e6647556bd60c0612fb3a49e45832675fdf80123d9b0dab3affbb066ce",
+            ),
+            (
+                ("enumerate", "--basis", "2431,3142,3241", "--max-len", "9"),
+                "9f468e205f63df9e48f97e6122f8b4bc0702512bec7f638a364e8454f9eed738",
+            ),
+            (
+                ("basis", "--machine", "pqs", "--max-len", "8"),
+                "4172971fb16ea02a02d4882ab1abd018f2bc61f09b5b6a9686d089949a9a6e9b",
+            ),
+        ],
+        ids=["enumerate-pqs-8", "enumerate-ps-basis-9", "basis-pqs-8"],
+    )
+    def test_stdout_digest(self, argv, digest):
+        code, text = run_cli(*argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestCache:
     def test_round_trip_and_reuse(self, tmp_path):
         cache = tmp_path / "counts.json"
