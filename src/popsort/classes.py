@@ -148,8 +148,18 @@ def _walk(
                 stack.append((c, c_sites))
 
 
-def _count_walk(spec: ClassSpec, n: int, vals: tuple[int, ...] = (), sites: int = 1) -> int:
-    return sum(1 for v, _ in _walk(spec.member, n, vals, sites) if len(v) == n)
+def _count_walk(
+    member: Callable[[Permutation], bool], max_n: int, vals: tuple[int, ...] = (), sites: int = 1
+) -> list[int]:
+    """Members below vals by length: entry k counts those of length k."""
+    counts = [0] * (max_n + 1)
+    for v, _ in _walk(member, max_n, vals, sites):
+        counts[len(v)] += 1
+    return counts
+
+
+def _scan_count(spec: ClassSpec, n: int) -> int:
+    return sum(1 for p in all_perms(n) if spec.member(p))
 
 
 # With jobs > 1 the walk is split into the subtrees below the members of
@@ -157,38 +167,53 @@ def _count_walk(spec: ClassSpec, n: int, vals: tuple[int, ...] = (), sites: int 
 _PARTITION_LEN = 4
 
 
-def _count_subtree(args: tuple) -> int:
-    descriptor, n, vals, sites = args
-    return _count_walk(_rebuild_spec(descriptor), n, vals, sites)
+def _count_subtree(args: tuple) -> list[int]:
+    descriptor, max_n, vals, sites = args
+    return _count_walk(_rebuild_spec(descriptor).member, max_n, vals, sites)
+
+
+def count_by_length(spec: ClassSpec, max_n: int, jobs: int = 1) -> list[int]:
+    """Numbers of members of each length 1..max_n, from one walk.
+
+    Machine and basis specs (the ones with a descriptor) are downward
+    closed and are counted by walking the generating tree to length max_n
+    once.  With jobs > 1 and max_n > _PARTITION_LEN the walk is split into
+    the subtrees below the members of length _PARTITION_LEN; each worker
+    process returns its counts by length and the lists are summed in a
+    fixed order, so the result is identical for any job count.
+    Predicate-backed specs, which may not be closed and cannot cross a
+    process boundary, are counted by a serial scan of all n! permutations
+    of each length.
+    """
+    if spec.descriptor is None:
+        return [_scan_count(spec, n) for n in range(1, max_n + 1)]
+    if jobs > 1 and max_n > _PARTITION_LEN:
+        counts = [0] * (max_n + 1)
+        tasks = []
+        for v, sites in _walk(spec.member, _PARTITION_LEN):
+            counts[len(v)] += 1
+            if len(v) == _PARTITION_LEN:
+                tasks.append((spec.descriptor, max_n, v, sites))
+        with multiprocessing.Pool(jobs) as pool:
+            for sub in pool.map(_count_subtree, tasks):
+                counts = [a + b for a, b in zip(counts, sub)]
+        return counts[1:]
+    return _count_walk(spec.member, max_n)[1:]
 
 
 def count_members(spec: ClassSpec, n: int, jobs: int = 1) -> int:
     """Number of length-n members.
 
-    Machine and basis specs (the ones with a descriptor) are downward
-    closed and are counted by walking the generating tree to length n.
-    With jobs > 1 and n > _PARTITION_LEN the walk is split into the
-    subtrees below the members of length _PARTITION_LEN, counted in worker
-    processes and summed in a fixed order, so the result is identical for
-    any job count.  Predicate-backed specs, which may not be closed and
-    cannot cross a process boundary, are counted by a serial scan of all
-    n! permutations.
+    Walks the generating tree to length n as count_by_length does, or
+    scans the n! permutations of length n for a predicate-backed spec.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1 if spec.member(EMPTY) else 0
     if spec.descriptor is None:
-        return sum(1 for p in all_perms(n) if spec.member(p))
-    if jobs > 1 and n > _PARTITION_LEN:
-        tasks = [
-            (spec.descriptor, n, v, sites)
-            for v, sites in _walk(spec.member, _PARTITION_LEN)
-            if len(v) == _PARTITION_LEN
-        ]
-        with multiprocessing.Pool(jobs) as pool:
-            return sum(pool.map(_count_subtree, tasks))
-    return _count_walk(spec, n)
+        return _scan_count(spec, n)
+    return count_by_length(spec, n, jobs)[-1]
 
 
 def _by_length(vals: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -269,10 +294,11 @@ class WilfTable:
 
 
 def wilf_table(specs: Sequence[ClassSpec], max_n: int, jobs: int = 1) -> WilfTable:
-    """count_members for each spec and each n <= max_n, with equality flags."""
+    """Counts of each spec for each n <= max_n, with equality flags."""
+    columns = [count_by_length(spec, max_n, jobs=jobs) for spec in specs]
     rows = []
     for n in range(1, max_n + 1):
-        counts = tuple(count_members(spec, n, jobs=jobs) for spec in specs)
+        counts = tuple(column[n - 1] for column in columns)
         rows.append(WilfRow(n, counts, len(set(counts)) <= 1))
     return WilfTable(tuple(spec.name for spec in specs), tuple(rows))
 

@@ -17,8 +17,8 @@ from typing import Sequence
 
 from . import antichain as antichain_mod
 from . import machines, series
-from .classes import ClassSpec, compute_basis, count_members
-from .machines import MachineKind
+from .classes import ClassSpec, compute_basis, count_by_length
+from .machines import PQS_BASIS_CONJECTURED_COUNT, MachineKind
 from .perms import ParseError, parse
 
 CACHE_FORMAT_VERSION = "1"
@@ -32,7 +32,6 @@ SERIES_MAX_TERMS = 200
 # kinds two), so 300 entries stay under Python's default recursion limit
 # of 1000 with room for the caller's frames.
 SORTABLE_MAX_LEN = 300
-PQS_BASIS_CONJECTURED_COUNT = 108
 
 # Schemas for the JSON emitted by each command (draft-07); the test suite
 # validates every command's output against these.
@@ -226,23 +225,20 @@ def cmd_enumerate(args, out) -> int:
     if not 1 <= args.max_len <= ENUMERATE_MAX_LEN:
         raise UsageError(f"--max-len must be in 1..{ENUMERATE_MAX_LEN}")
     spec = _spec_from_args(args)
-    cache = None
     cache_path = Path(args.cache) if args.cache else None
-    if cache_path:
-        cache = _load_cache(cache_path)
-    counts = []
-    dirty = False
-    for n in range(1, args.max_len + 1):
-        key = f"{spec.fingerprint}:{n}"
-        if cache is not None and key in cache["counts"]:
-            counts.append(cache["counts"][key])
-            continue
-        c = count_members(spec, n, jobs=args.jobs)
-        counts.append(c)
-        if cache is not None:
-            cache["counts"][key] = c
-            dirty = True
-    if cache_path and dirty:
+    cache = _load_cache(cache_path) if cache_path else None
+    keys = [f"{spec.fingerprint}:{n}" for n in range(1, args.max_len + 1)]
+    cached = cache["counts"] if cache is not None else {}
+    missing = [n for n, key in enumerate(keys, start=1) if key not in cached]
+    # One walk to the longest missing length counts every shorter one too.
+    fresh = count_by_length(spec, missing[-1], jobs=args.jobs) if missing else []
+    counts = [
+        cached[key] if key in cached else fresh[n - 1]
+        for n, key in enumerate(keys, start=1)
+    ]
+    if cache_path and missing:
+        for n in missing:
+            cached[keys[n - 1]] = fresh[n - 1]
         try:
             _save_cache(cache_path, cache)
         except OSError as exc:

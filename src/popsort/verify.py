@@ -1,11 +1,15 @@
-"""The cross-module invariant suite behind `popsort verify`.
+"""The invariant registry behind `popsort verify` and the acceptance suite.
 
 Each check pits at least two independent routes against each other
 (simulator vs basis vs division, closed form vs fixed point vs brute
 force, pruned vs unpruned search, backtracking vs naive enumeration) over
-exhaustive desk-scale ranges.  The `fast` suite shrinks every bound to
-n <= 6 territory; `all` runs the full documented ranges and takes several
-minutes.
+exhaustive desk-scale ranges.  `_CHECKS` is the one registry of them.  An
+entry holds a name, a fast bound, a full bound and a check that takes its
+bound and returns (ok, detail); the entries that state one of the paper's
+thirteen exit criteria also carry its id.  `popsort verify --suite fast`
+runs every entry at its fast bound (n <= 6 territory, seconds); `--suite
+all` runs the full bounds and takes several minutes.  The acceptance tests
+run the criterion-tagged entries at their full bounds.
 """
 from __future__ import annotations
 
@@ -13,17 +17,11 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import machines, series
-from .antichain import (
-    antichain_element,
-    check_antichain,
-    check_basis_element,
-    forbidden_divided_patterns,
-    in_avoidance_class,
-)
-from .classes import ClassSpec, compute_basis, count_members, simples_in_class, structural_member, wilf_table
+from .antichain import check_antichain, check_basis_element, in_avoidance_class
+from .classes import ClassSpec, compute_basis, count_by_length, simples_in_class, structural_member, wilf_table
 from .divided import (
     DividedPermutation,
     all_divisions,
@@ -32,13 +30,13 @@ from .divided import (
     parse_divided,
     reachable_by_local_reversals,
 )
-from .machines import DIVIDED_OBSTRUCTIONS, MachineKind, PS_BASIS
+from .machines import DIVIDED_OBSTRUCTIONS, PQS_BASIS_CONJECTURED_COUNT, PQS_SEQUENCE, PS_BASIS, MachineKind
 from .perms import (
     Permutation,
     all_perms,
     avoids,
     contains,
-    delete_entry,
+    identity,
     inflate,
     is_simple,
     one_entry_deletions,
@@ -48,13 +46,23 @@ from .perms import (
     substitution_decompose,
 )
 
-Check = Callable[[bool], tuple[bool, str]]
-_CHECKS: list[tuple[str, Check]] = []
+
+class Check(NamedTuple):
+    """One registry entry; `run(bound)` returns (ok, detail)."""
+
+    name: str
+    fast: Any
+    full: Any
+    run: Callable[[Any], tuple[bool, str]]
+    criterion: str | None = None
 
 
-def _check(name: str):
-    def register(fn: Check) -> Check:
-        _CHECKS.append((name, fn))
+_CHECKS: list[Check] = []
+
+
+def _check(name: str, fast: Any, full: Any, criterion: str | None = None):
+    def register(fn: Callable[[Any], tuple[bool, str]]):
+        _CHECKS.append(Check(name, fast, full, fn, criterion))
         return fn
 
     return register
@@ -101,9 +109,8 @@ def naive_div_contains(pattern: DividedPermutation, host: DividedPermutation) ->
 
 # -- permutation core ---------------------------------------------------------
 
-@_check("symmetries-are-involutions")
-def _chk_involutions(fast: bool):
-    bound = 5 if fast else 8
+@_check("symmetries-are-involutions", fast=5, full=8)
+def _chk_involutions(bound: int):
     for p in _perms_upto(bound):
         for op in ("reverse", "complement", "inverse", "dual"):
             if getattr(getattr(p, op)(), op)() != p:
@@ -111,18 +118,16 @@ def _chk_involutions(fast: bool):
     return True, f"reverse/complement/inverse/dual involutive for n <= {bound}"
 
 
-@_check("dual-matches-reverse-inverse-reverse")
-def _chk_dual_formula(fast: bool):
-    bound = 5 if fast else 8
+@_check("dual-matches-reverse-inverse-reverse", fast=5, full=8)
+def _chk_dual_formula(bound: int):
     for p in _perms_upto(bound):
         if p.dual() != p.reverse().inverse().reverse():
             return False, f"dual mismatch on {p}"
     return True, f"both dual implementations agree for n <= {bound}"
 
 
-@_check("substitution-decomposition-roundtrip")
-def _chk_decompose(fast: bool):
-    bound = 5 if fast else 8
+@_check("substitution-decomposition-roundtrip", fast=5, full=8)
+def _chk_decompose(bound: int):
     for p in _perms_upto(bound, start=1):
         quotient, parts = substitution_decompose(p)
         if not is_simple(quotient):
@@ -132,9 +137,9 @@ def _chk_decompose(fast: bool):
     return True, f"inflate(decompose(p)) == p with simple quotient for n <= {bound}"
 
 
-@_check("contains-agrees-with-naive-oracle")
-def _chk_contains_oracle(fast: bool):
-    pat_bound, host_bound = (3, 5) if fast else (4, 7)
+@_check("contains-agrees-with-naive-oracle", fast=(3, 5), full=(4, 7))
+def _chk_contains_oracle(bounds: tuple[int, int]):
+    pat_bound, host_bound = bounds
     pats = list(_perms_upto(pat_bound, start=1))
     for host in _perms_upto(host_bound):
         for pat in pats:
@@ -143,14 +148,13 @@ def _chk_contains_oracle(fast: bool):
     return True, f"backtracking == subset scan for |pat| <= {pat_bound}, |host| <= {host_bound}"
 
 
-@_check("containment-reflexive-transitive")
-def _chk_contains_order(fast: bool):
-    bound = 5 if fast else 7
+@_check("containment-reflexive-transitive", fast=(5, 200, 20240), full=(7, 600, 20241))
+def _chk_contains_order(bounds: tuple[int, int, int]):
+    bound, trials, seed = bounds
     for p in _perms_upto(bound):
         if not contains(p, p):
             return False, f"containment not reflexive on {p}"
-    rng = random.Random(20240 if fast else 20241)
-    trials = 200 if fast else 600
+    rng = random.Random(seed)
     for _ in range(trials):
         n = rng.randint(1, bound)
         host = Permutation(tuple(rng.sample(range(1, n + 1), n)))
@@ -165,25 +169,22 @@ def _chk_contains_order(fast: bool):
 
 # -- divided permutations -----------------------------------------------------
 
-@_check("div-contains-agrees-with-naive-oracle")
-def _chk_div_oracle(fast: bool):
-    host_bound = 5 if fast else 6
+@_check("div-contains-agrees-with-naive-oracle", fast=5, full=6)
+def _chk_div_oracle(bound: int):
     pattern_pool = [
         "21", "2|1", "132", "2|13", "32|1", "2|3|1", "31|42", "2|34|1", "2341",
     ]
     pats = [parse_divided(t) for t in pattern_pool]
-    for n in range(0, host_bound + 1):
-        for host_perm in all_perms(n):
-            for host in all_divisions(host_perm):
-                for pat in pats:
-                    if div_contains(pat, host) != naive_div_contains(pat, host):
-                        return False, f"div_contains({pat}, {host}) disagrees with oracle"
-    return True, f"block-aware backtracking == naive scan for hosts n <= {host_bound}"
+    for host_perm in _perms_upto(bound):
+        for host in all_divisions(host_perm):
+            for pat in pats:
+                if div_contains(pat, host) != naive_div_contains(pat, host):
+                    return False, f"div_contains({pat}, {host}) disagrees with oracle"
+    return True, f"block-aware backtracking == naive scan for hosts n <= {bound}"
 
 
-@_check("undivided-div-contains-degenerates-to-contains")
-def _chk_div_degenerate(fast: bool):
-    bound = 4 if fast else 6
+@_check("undivided-div-contains-degenerates-to-contains", fast=4, full=6)
+def _chk_div_degenerate(bound: int):
     pats = [DividedPermutation(p) for p in _perms_upto(3, start=1)]
     for host_perm in _perms_upto(bound):
         host = DividedPermutation(host_perm)
@@ -193,31 +194,27 @@ def _chk_div_degenerate(fast: bool):
     return True, f"single-block semantics match plain containment for n <= {bound}"
 
 
-@_check("ps-division-characterization")
-def _chk_ps_division(fast: bool):
-    bound = 5 if fast else 8
-    pats = DIVIDED_OBSTRUCTIONS[MachineKind.PS]
+def _division_matches_simulator(kind: MachineKind, bound: int) -> tuple[bool, str]:
+    pats = DIVIDED_OBSTRUCTIONS[kind]
     for p in _perms_upto(bound):
         division = exists_division_avoiding(p, pats)
-        if (division is not None) != machines.is_sortable(MachineKind.PS, p):
-            return False, f"division route disagrees with PS simulator on {p}"
-    return True, f"division existence == PS simulator for n <= {bound}"
+        if (division is not None) != machines.is_sortable(kind, p):
+            return False, f"division route disagrees with {kind.name} simulator on {p}"
+    return True, f"division existence == {kind.name} simulator for n <= {bound}"
 
 
-@_check("pqs-division-characterization")
-def _chk_pqs_division(fast: bool):
-    bound = 5 if fast else 8
-    pats = DIVIDED_OBSTRUCTIONS[MachineKind.PQS]
-    for p in _perms_upto(bound):
-        division = exists_division_avoiding(p, pats)
-        if (division is not None) != machines.is_sortable(MachineKind.PQS, p):
-            return False, f"division route disagrees with PQS simulator on {p}"
-    return True, f"division existence == PQS simulator for n <= {bound}"
+@_check("ps-division-characterization", fast=5, full=8)
+def _chk_ps_division(bound: int):
+    return _division_matches_simulator(MachineKind.PS, bound)
 
 
-@_check("pqs-division-equals-local-reversals")
-def _chk_local_reversals(fast: bool):
-    bound = 5 if fast else 8
+@_check("pqs-division-characterization", fast=5, full=8)
+def _chk_pqs_division(bound: int):
+    return _division_matches_simulator(MachineKind.PQS, bound)
+
+
+@_check("pqs-division-equals-local-reversals", fast=5, full=8)
+def _chk_local_reversals(bound: int):
     pats = DIVIDED_OBSTRUCTIONS[MachineKind.PQS]
     stack_sortable = lambda q: not contains(parse("231"), q)
     for p in _perms_upto(bound):
@@ -230,9 +227,8 @@ def _chk_local_reversals(fast: bool):
 
 # -- machines ------------------------------------------------------------------
 
-@_check("single-stack-sorts-iff-avoids-231")
-def _chk_single_stack(fast: bool):
-    bound = 5 if fast else 8
+@_check("single-stack-sorts-iff-avoids-231", fast=5, full=8)
+def _chk_single_stack(bound: int):
     pat = parse("231")
     for p in _perms_upto(bound):
         if machines.is_sortable(MachineKind.S, p) != (not contains(pat, p)):
@@ -240,9 +236,8 @@ def _chk_single_stack(fast: bool):
     return True, f"S == Av(231) for n <= {bound}"
 
 
-@_check("ps-triple-characterization")
-def _chk_ps_triple(fast: bool):
-    bound = 5 if fast else 8
+@_check("ps-triple-characterization", fast=5, full=8, criterion="02")
+def _chk_ps_triple(bound: int):
     for p in _perms_upto(bound):
         sim = machines.is_sortable(MachineKind.PS, p)
         if sim != machines.is_sortable_ps_by_basis(p):
@@ -252,27 +247,33 @@ def _chk_ps_triple(fast: bool):
     return True, f"simulator == basis == division for n <= {bound}"
 
 
-@_check("sp-equals-sqp")
-def _chk_sp_sqp(fast: bool):
-    bound = 5 if fast else 7
+@_check("sp-equals-sqp", fast=5, full=7, criterion="06")
+def _chk_sp_sqp(bound: int):
     for p in _perms_upto(bound):
         if machines.is_sortable(MachineKind.SP, p) != machines.is_sortable(MachineKind.SQP, p):
             return False, f"SP and SQP disagree on {p}"
     return True, f"SP == SQP for n <= {bound}"
 
 
-@_check("pqs-equals-sp-of-dual")
-def _chk_pqs_dual(fast: bool):
-    bound = 5 if fast else 7
+@_check("pqs-equals-sp-of-dual", fast=5, full=7, criterion="06")
+def _chk_pqs_dual(bound: int):
     for p in _perms_upto(bound):
         if machines.is_sortable(MachineKind.PQS, p) != machines.is_sortable(MachineKind.SP, p.dual()):
             return False, f"PQS vs SP-of-dual disagree on {p}"
     return True, f"PQS(p) == SP(dual(p)) for n <= {bound}"
 
 
-@_check("ps-implies-pqs-and-di")
-def _chk_ps_subsets(fast: bool):
-    bound = 5 if fast else 7
+@_check("di-separations", fast=None, full=None, criterion="07")
+def _chk_di_separations(_bound: None):
+    pqs, di = MachineKind.PQS, MachineKind.DI
+    for p, sorter, other in ((parse("3142"), pqs, di), (parse("465132"), di, pqs)):
+        if not machines.is_sortable(sorter, p) or machines.is_sortable(other, p):
+            return False, f"{p} does not separate {sorter.name} from {other.name}"
+    return True, "PQS sorts 3142 and DI does not; DI sorts 465132 and PQS does not"
+
+
+@_check("ps-implies-pqs-and-di", fast=5, full=7)
+def _chk_ps_subsets(bound: int):
     for p in _perms_upto(bound):
         if machines.is_sortable(MachineKind.PS, p):
             if not machines.is_sortable(MachineKind.PQS, p):
@@ -282,9 +283,8 @@ def _chk_ps_subsets(fast: bool):
     return True, f"PS subset of PQS and of DI for n <= {bound}"
 
 
-@_check("ps-sum-closure")
-def _chk_sum_closure(fast: bool):
-    total = 6 if fast else 8
+@_check("ps-sum-closure", fast=6, full=8)
+def _chk_sum_closure(total: int):
     sortable = [
         p for n in range(1, total) for p in all_perms(n)
         if machines.is_sortable(MachineKind.PS, p)
@@ -298,9 +298,8 @@ def _chk_sum_closure(fast: bool):
     return True, f"PS-sortable closed under direct sums up to total length {total}"
 
 
-@_check("pruned-search-equals-unpruned")
-def _chk_pruning(fast: bool):
-    bound = 4 if fast else 6
+@_check("pruned-search-equals-unpruned", fast=4, full=6, criterion="13")
+def _chk_pruning(bound: int):
     for p in _perms_upto(bound):
         for kind in MachineKind:
             if machines.is_sortable(kind, p) != machines.is_sortable_unpruned(kind, p):
@@ -308,46 +307,80 @@ def _chk_pruning(fast: bool):
     return True, f"all six pruned searches match the raw move graph for n <= {bound}"
 
 
-@_check("witnesses-replay-to-identity")
-def _chk_witness_replay(fast: bool):
-    bound = 5 if fast else 7
-    from .perms import identity
-
+@_check("witnesses-replay-to-identity", fast=5, full=7, criterion="12")
+def _chk_witness_replay(bound: int):
     for p in _perms_upto(bound):
         for kind in MachineKind:
             witness = machines.sorting_witness(kind, p)
-            if witness is None:
-                continue
-            if machines.replay(kind, p, witness) != identity(len(p)):
+            if (witness is not None) != machines.is_sortable(kind, p):
+                return False, f"{kind.name} witness presence on {p} disagrees with sortability"
+            if witness is not None and machines.replay(kind, p, witness) != identity(len(p)):
                 return False, f"witness for {kind.name} on {p} does not replay"
-    return True, f"every witness replays to the identity for n <= {bound}"
+    trace = machines.moves_from_text(MachineKind.PS, "I,I,I,F,I,I,F,O,O,O,I,F,O,O,O")
+    if machines.replay(MachineKind.PS, parse("356124"), trace) != parse("123456"):
+        return False, "the worked PS trace does not sort 356124"
+    return True, (
+        f"a witness exists iff sortable and replays to the identity for n <= {bound}; "
+        "the worked PS trace sorts 356124"
+    )
 
 
 # -- classes -------------------------------------------------------------------
 
-@_check("structural-recognizer-equals-avoidance")
-def _chk_structural(fast: bool):
-    bound = 6 if fast else 9
+@_check("ps-machine-basis", fast=6, full=6, criterion="01")
+def _chk_ps_machine_basis(bound: int):
+    mined = compute_basis(ClassSpec.from_machine(MachineKind.PS), bound)
+    if mined != list(PS_BASIS):
+        return False, f"PS basis mining returned {[str(m) for m in mined]}"
+    return True, f"PS basis mining to length {bound} returns exactly 2431, 3142, 3241"
+
+
+@_check("pqs-counts", fast=7, full=9, criterion="03")
+def _chk_pqs_counts(bound: int):
+    counts = count_by_length(ClassSpec.from_machine(MachineKind.PQS), bound)
+    if counts != list(PQS_SEQUENCE[:bound]):
+        return False, f"PQS counts {counts} differ from {list(PQS_SEQUENCE[:bound])}"
+    return True, f"PQS counts for n <= {bound} are {counts}"
+
+
+@_check("pqs-basis-sound", fast=7, full=9, criterion="04")
+def _chk_pqs_basis(bound: int):
+    # Every mined element must be a minimal unsortable permutation; how
+    # many there are is the paper's conjecture and is reported, not checked.
+    sortable = lambda q: machines.is_sortable(MachineKind.PQS, q)
+    basis = compute_basis(ClassSpec.from_machine(MachineKind.PQS), bound)
+    for element in basis:
+        if sortable(element) or not all(sortable(d) for d in one_entry_deletions(element)):
+            return False, f"mined element {element} is not a minimal unsortable permutation"
+    detail = (
+        f"{len(basis)} mined elements to length {bound} are unsortable with "
+        f"every one-entry deletion sortable (conjectured {PQS_BASIS_CONJECTURED_COUNT} at 9)"
+    )
+    if bound >= 9 and len(basis) != PQS_BASIS_CONJECTURED_COUNT:
+        detail += "; CONJECTURE-MISMATCH"
+    return True, detail
+
+
+@_check("structural-recognizer-equals-avoidance", fast=6, full=9, criterion="09")
+def _chk_structural(bound: int):
     for p in _perms_upto(bound):
         if structural_member(p) != avoids(p, PS_BASIS):
             return False, f"structural recognizer disagrees on {p}"
     return True, f"shape recursion == avoidance of the three patterns for n <= {bound}"
 
 
-@_check("basis-mining-recovers-antichain-bases")
-def _chk_basis_mining(fast: bool):
-    for texts, max_len in ((("231",), 5), (("2431", "3142", "3241"), 6)):
+@_check("basis-mining-recovers-antichain-bases", fast=6, full=6)
+def _chk_basis_mining(bound: int):
+    for texts in (("231",), ("2431", "3142", "3241")):
         target = sorted((parse(t) for t in texts), key=lambda p: (len(p), p.values))
-        spec = ClassSpec.from_basis(target)
-        mined = compute_basis(spec, max_len)
+        mined = compute_basis(ClassSpec.from_basis(target), bound)
         if mined != target:
             return False, f"mining Av({texts}) returned {[str(m) for m in mined]}"
-    return True, "mined bases equal the defining antichains for Av(231) and Av(2431,3142,3241)"
+    return True, f"mined to {bound}, Av(231) and Av(2431,3142,3241) give back their bases"
 
 
-@_check("simple-permutation-census")
-def _chk_simples(fast: bool):
-    bound = 8 if fast else 10
+@_check("simple-permutation-census", fast=8, full=10, criterion="08")
+def _chk_simples(bound: int):
     expected = [parse("1"), parse("12"), parse("21")] + [
         parallel_alternation(m) for m in range(2, bound // 2 + 1)
     ]
@@ -357,20 +390,17 @@ def _chk_simples(fast: bool):
     return True, f"simples in Av(2431,3142) up to {bound} are 1, 12, 21 and the alternations"
 
 
-@_check("ps-count-equals-series-coefficients")
-def _chk_counts_series(fast: bool):
-    bound = 6 if fast else 9
+@_check("ps-count-equals-series-coefficients", fast=6, full=9, criterion="05")
+def _chk_counts_series(bound: int):
     coeffs = series.closed_form(bound).integer_coefficients()
-    spec = ClassSpec.from_machine(MachineKind.PS)
-    for n in range(1, bound + 1):
-        if count_members(spec, n) != coeffs[n]:
-            return False, f"PS count at n={n} differs from series coefficient"
+    counts = count_by_length(ClassSpec.from_machine(MachineKind.PS), bound)
+    if counts != coeffs[1:]:
+        return False, f"PS counts {counts} differ from series coefficients {coeffs[1:]}"
     return True, f"machine counts match series coefficients for n <= {bound}"
 
 
-@_check("wilf-equivalence-of-three-classes")
-def _chk_wilf(fast: bool):
-    bound = 6 if fast else 9
+@_check("wilf-equivalence-of-three-classes", fast=6, full=9, criterion="10")
+def _chk_wilf(bound: int):
     specs = [
         ClassSpec.from_basis([parse(t) for t in texts])
         for texts in (("2431", "3142", "3241"), ("2431", "4231", "4321"), ("2143", "2413", "3142"))
@@ -395,9 +425,8 @@ def _random_series(rng: random.Random, order: int, unit_constant: bool = False):
     return series.PowerSeries(tuple(coeffs))
 
 
-@_check("series-division-multiplication-roundtrip")
-def _chk_series_div(fast: bool):
-    order = 16 if fast else 32
+@_check("series-division-multiplication-roundtrip", fast=16, full=32)
+def _chk_series_div(order: int):
     rng = random.Random(7)
     for _ in range(25):
         a = _random_series(rng, order)
@@ -407,9 +436,8 @@ def _chk_series_div(fast: bool):
     return True, f"25 random divisions invert exactly at order {order}"
 
 
-@_check("series-sqrt-squares-back")
-def _chk_series_sqrt(fast: bool):
-    order = 16 if fast else 32
+@_check("series-sqrt-squares-back", fast=16, full=32)
+def _chk_series_sqrt(order: int):
     rng = random.Random(8)
     for _ in range(25):
         a = _random_series(rng, order, unit_constant=True)
@@ -419,26 +447,23 @@ def _chk_series_sqrt(fast: bool):
     return True, f"25 random square roots square back exactly at order {order}"
 
 
-@_check("closed-form-equals-fixed-point")
-def _chk_series_agreement(fast: bool):
-    order = 40 if fast else 200
+@_check("closed-form-equals-fixed-point", fast=40, full=200, criterion="05")
+def _chk_series_agreement(order: int):
     if series.closed_form(order) != series.fixed_point(order):
         return False, f"closed form and fixed point diverge within order {order}"
     return True, f"closed form == fixed point to order {order}"
 
 
-@_check("closed-form-coefficients-nonnegative-integers")
-def _chk_series_integrality(fast: bool):
-    order = 40
+@_check("closed-form-coefficients-nonnegative-integers", fast=40, full=40)
+def _chk_series_integrality(order: int):
     coeffs = series.closed_form(order).integer_coefficients()  # raises if non-integer
     if any(c < 0 for c in coeffs):
         return False, "negative coefficient"
     return True, f"all coefficients integral and nonnegative to order {order}"
 
 
-@_check("alternation-part-geometric-identity")
-def _chk_series_geometric(fast: bool):
-    order = 12 if fast else 20
+@_check("alternation-part-geometric-identity", fast=12, full=20)
+def _chk_series_geometric(order: int):
     f = series.closed_form(order)
     x = series.PowerSeries.x(order)
     term = (x * f) / (1 - x)
@@ -454,9 +479,8 @@ def _chk_series_geometric(fast: bool):
 
 # -- antichain -----------------------------------------------------------------
 
-@_check("antichain-elements-are-basis-elements")
-def _chk_antichain_basis(fast: bool):
-    top = 2 if fast else 4
+@_check("antichain-elements-are-basis-elements", fast=2, full=4, criterion="11")
+def _chk_antichain_basis(top: int):
     for k in range(1, top + 1):
         report = check_basis_element(k)
         if not report.passed:
@@ -464,17 +488,16 @@ def _chk_antichain_basis(fast: bool):
     return True, f"u_k outside the class, all deletions inside, for k <= {top}"
 
 
-@_check("antichain-pairwise-incomparable")
-def _chk_antichain_pairs(fast: bool):
-    report = check_antichain(5)
+@_check("antichain-pairwise-incomparable", fast=5, full=5, criterion="11")
+def _chk_antichain_pairs(max_k: int):
+    report = check_antichain(max_k)
     if not report.passed:
         return False, f"comparable pairs {report.comparable_pairs}, counts {report.occurrence_counts}"
-    return True, "u_1..u_5 pairwise incomparable, each with exactly two copies of 2341"
+    return True, f"u_1..u_{max_k} pairwise incomparable, each with exactly two copies of 2341"
 
 
-@_check("divided-class-downward-closed")
-def _chk_divided_closure(fast: bool):
-    bound = 6 if fast else 8
+@_check("divided-class-downward-closed", fast=6, full=8)
+def _chk_divided_closure(bound: int):
     memo: dict[tuple[int, ...], bool] = {}
 
     def member(p: Permutation) -> bool:
@@ -491,17 +514,16 @@ def _chk_divided_closure(fast: bool):
 
 
 def run_suite(suite: str, out) -> bool:
-    """Run every registered invariant; print one line per check."""
+    """Run every registry entry at the suite's bound; print one line each."""
     if suite not in ("fast", "all"):
         raise ValueError(f"unknown suite {suite!r} (expected fast or all)")
-    fast = suite == "fast"
     all_ok = True
-    for name, fn in _CHECKS:
+    for check in _CHECKS:
         t0 = time.monotonic()
-        ok, detail = fn(fast)
+        ok, detail = check.run(check.fast if suite == "fast" else check.full)
         dt = time.monotonic() - t0
         tag = "PASS" if ok else "FAIL"
-        out.write(f"{tag} {name} ({dt:.1f}s): {detail}\n")
+        out.write(f"{tag} {check.name} ({dt:.1f}s): {detail}\n")
         all_ok &= ok
     out.write(("all invariants hold\n") if all_ok else ("INVARIANT FAILURES PRESENT\n"))
     return all_ok

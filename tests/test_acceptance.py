@@ -1,212 +1,72 @@
 """Acceptance suite: the thirteen exit criteria, each at its stated bound.
 
-Every test prints one PASS line on success (run with -v and/or -s to see
-them); a failing assertion is the corresponding FAIL line.  All checks are
-exact: zero mismatches, exact sequence values, exact sets.
+The checks live in the invariant registry `popsort.verify._CHECKS`, which
+`popsort verify` also runs; an entry tagged with a criterion id states that
+criterion.  Each `test_criterion_*` runs every entry tagged with its id at
+the entry's full bound and prints one `ACCEPTANCE PASS <id>` line per entry
+(run with -s to see them); a failing entry fails the test with its detail.
+Criterion 03 also runs its entry at n <= 8, the bound the paper's table
+confirms, apart from the n = 9 extension.
+`test_criterion_bounds` pins which entries state each criterion and at
+what full bound, so no criterion loses an entry or a bound unseen.
 """
 import sys
 
-from popsort.antichain import antichain_element, check_antichain, check_basis_element
-from popsort.classes import (
-    ClassSpec,
-    compute_basis,
-    count_members,
-    simples_in_class,
-    structural_member,
-    wilf_table,
-)
-from popsort.machines import (
-    MachineKind,
-    is_sortable,
-    is_sortable_by_division,
-    is_sortable_ps_by_basis,
-    is_sortable_unpruned,
-    moves_from_text,
-    replay,
-    sorting_witness,
-)
-from popsort.perms import (
-    Permutation,
-    all_perms,
-    avoids,
-    count_occurrences,
-    identity,
-    parallel_alternation,
-    parse,
-)
-from popsort.series import closed_form, fixed_point
+from popsort.verify import _CHECKS
 
-PQS_SEQUENCE = [1, 2, 6, 24, 120, 685, 4148, 25661, 159829]
-PQS_CONJECTURED_BASIS_COUNT = 108
+# criterion id -> [(registry entry, full bound)]
+CRITERIA = {
+    "01": [("ps-machine-basis", 6)],
+    "02": [("ps-triple-characterization", 8)],
+    "03": [("pqs-counts", 9)],
+    "04": [("pqs-basis-sound", 9)],
+    "05": [("ps-count-equals-series-coefficients", 9), ("closed-form-equals-fixed-point", 200)],
+    "06": [("sp-equals-sqp", 7), ("pqs-equals-sp-of-dual", 7)],
+    "07": [("di-separations", None)],
+    "08": [("simple-permutation-census", 10)],
+    "09": [("structural-recognizer-equals-avoidance", 9)],
+    "10": [("wilf-equivalence-of-three-classes", 9)],
+    "11": [("antichain-elements-are-basis-elements", 4), ("antichain-pairwise-incomparable", 5)],
+    "12": [("witnesses-replay-to-identity", 7)],
+    "13": [("pruned-search-equals-unpruned", 6)],
+}
 
 
-def report(line: str) -> None:
-    print(line)
-    print(line, file=sys.__stderr__)
+def criterion_test(cid, bound=None):
+    def test():
+        entries = [check for check in _CHECKS if check.criterion == cid]
+        assert entries, f"no registry entry states criterion {cid}"
+        for entry in entries:
+            ok, detail = entry.run(entry.full if bound is None else bound)
+            assert ok, f"{entry.name}: {detail}"
+            line = f"ACCEPTANCE PASS {cid} {entry.name}: {detail}"
+            print(line)
+            print(line, file=sys.__stderr__)
+
+    return test
 
 
-def test_criterion_01_ps_basis_recovery():
-    mined = compute_basis(ClassSpec.from_machine(MachineKind.PS), 6)
-    assert mined == [parse("2431"), parse("3142"), parse("3241")]
-    report("ACCEPTANCE PASS 01: PS basis mining to length 6 returns exactly "
-           "{2431, 3142, 3241}")
+test_criterion_01_ps_basis_recovery = criterion_test("01")
+test_criterion_02_ps_triple_characterization_to_eight = criterion_test("02")
+test_criterion_03_pqs_enumeration_to_eight = criterion_test("03", bound=8)
+test_criterion_03_pqs_enumeration_nine_extended = criterion_test("03")
+test_criterion_04_pqs_basis_conjecture_desk_check = criterion_test("04")
+test_criterion_05_generating_function_triple_agreement = criterion_test("05")
+test_criterion_06_machine_equivalences_to_seven = criterion_test("06")
+test_criterion_07_di_separations = criterion_test("07")
+test_criterion_08_simple_permutation_census_to_ten = criterion_test("08")
+test_criterion_09_structural_recognizer_to_nine = criterion_test("09")
+test_criterion_10_wilf_equivalence_to_nine = criterion_test("10")
+test_criterion_11_antichain_construction = criterion_test("11")
+test_criterion_12_witness_soundness_to_seven = criterion_test("12")
+test_criterion_13_pruning_soundness_to_six = criterion_test("13")
 
 
-def test_criterion_02_ps_triple_characterization_to_eight():
-    checked = 0
-    for n in range(1, 9):
-        for p in all_perms(n):
-            simulated = is_sortable(MachineKind.PS, p)
-            assert simulated == is_sortable_ps_by_basis(p), p
-            assert simulated == is_sortable_by_division(MachineKind.PS, p), p
-            checked += 1
-    assert checked == 46233
-    report("ACCEPTANCE PASS 02: simulator == basis == division on all "
-           f"{checked} permutations of length <= 8")
-
-
-def test_criterion_03_pqs_enumeration_to_eight():
-    spec = ClassSpec.from_machine(MachineKind.PQS)
-    counts = [count_members(spec, n) for n in range(1, 9)]
-    assert counts == PQS_SEQUENCE[:8]
-    report(f"ACCEPTANCE PASS 03a: PQS counts for n <= 8 equal {counts}")
-
-
-def test_criterion_03_pqs_enumeration_nine_extended():
-    spec = ClassSpec.from_machine(MachineKind.PQS)
-    count = count_members(spec, 9)
-    assert count == PQS_SEQUENCE[8]
-    report(f"ACCEPTANCE PASS 03b: PQS count at n = 9 equals {count}")
-
-
-def test_criterion_04_pqs_basis_conjecture_desk_check():
-    basis = compute_basis(ClassSpec.from_machine(MachineKind.PQS), 9)
-    # soundness of every reported element, independent of the conjecture:
-    # unsortable itself, every one-entry deletion sortable
-    from popsort.perms import one_entry_deletions
-
-    for element in basis:
-        assert not is_sortable(MachineKind.PQS, element), element
-        assert all(
-            is_sortable(MachineKind.PQS, d) for d in one_entry_deletions(element)
-        ), element
-    assert all(len(b) <= 9 for b in basis)
-    if len(basis) != PQS_CONJECTURED_BASIS_COUNT:
-        report(f"CONJECTURE-MISMATCH: mining found {len(basis)} minimal "
-               f"unsortable permutations, conjecture says "
-               f"{PQS_CONJECTURED_BASIS_COUNT}")
-    report(f"ACCEPTANCE PASS 04: PQS basis mining to length 9 reports "
-           f"{len(basis)} sound minimal elements "
-           f"(conjectured {PQS_CONJECTURED_BASIS_COUNT})")
-
-
-def test_criterion_05_generating_function_triple_agreement():
-    assert closed_form(20) == fixed_point(20)
-    coeffs = closed_form(9).integer_coefficients()
-    spec = ClassSpec.from_machine(MachineKind.PS)
-    brute = [count_members(spec, n) for n in range(1, 10)]
-    assert coeffs[1:] == brute
-    report("ACCEPTANCE PASS 05: closed form == fixed point to order 20; "
-           f"both match brute-force counts {brute} for n <= 9")
-
-
-def test_criterion_06_machine_equivalences_to_seven():
-    checked = 0
-    for n in range(1, 8):
-        for p in all_perms(n):
-            sp = is_sortable(MachineKind.SP, p)
-            assert sp == is_sortable(MachineKind.SQP, p), p
-            assert is_sortable(MachineKind.PQS, p) == is_sortable(
-                MachineKind.SP, p.dual()
-            ), p
-            checked += 1
-    report("ACCEPTANCE PASS 06: SP == SQP and PQS == SP-of-dual on all "
-           f"{checked} permutations of length <= 7")
-
-
-def test_criterion_07_di_separations():
-    assert is_sortable(MachineKind.PQS, parse("3142"))
-    assert not is_sortable(MachineKind.DI, parse("3142"))
-    assert is_sortable(MachineKind.DI, parse("465132"))
-    assert not is_sortable(MachineKind.PQS, parse("465132"))
-    report("ACCEPTANCE PASS 07: 3142 separates PQS from DI and 465132 "
-           "separates DI from PQS")
-
-
-def test_criterion_08_simple_permutation_census_to_ten():
-    got = simples_in_class([parse("2431"), parse("3142")], 10)
-    expected = [parse("1"), parse("12"), parse("21")] + [
-        parallel_alternation(m) for m in (2, 3, 4, 5)
-    ]
-    assert got == expected
-    report("ACCEPTANCE PASS 08: simples in Av(2431,3142) up to length 10 are "
-           "1, 12, 21 and the parallel alternations for m = 2..5")
-
-
-def test_criterion_09_structural_recognizer_to_nine():
-    from popsort.machines import PS_BASIS
-
-    checked = 0
-    for n in range(0, 10):
-        for p in all_perms(n):
-            assert structural_member(p) == avoids(p, PS_BASIS), p
-            checked += 1
-    report("ACCEPTANCE PASS 09: structural recognizer == pattern avoidance "
-           f"on all {checked} permutations of length <= 9")
-
-
-def test_criterion_10_wilf_equivalence_to_nine():
-    specs = [
-        ClassSpec.from_basis([parse(t) for t in texts])
-        for texts in (
-            ("2431", "3142", "3241"),
-            ("2431", "4231", "4321"),
-            ("2143", "2413", "3142"),
-        )
-    ]
-    table = wilf_table(specs, 9)
-    assert table.all_equal, [
-        (row.n, row.counts) for row in table.rows if not row.all_equal
-    ]
-    report("ACCEPTANCE PASS 10: the three classes share counting sequences "
-           f"for n <= 9 (n = 9 count {table.rows[-1].counts[0]})")
-
-
-def test_criterion_11_antichain_construction():
-    for k in range(1, 5):
-        assert check_basis_element(k).passed, k
-    pair_report = check_antichain(5)
-    assert pair_report.passed
-    pattern = parse("2341")
-    for k in range(1, 6):
-        assert count_occurrences(pattern, antichain_element(k)) == 2
-    report("ACCEPTANCE PASS 11: u_1..u_4 verified as basis elements, "
-           "u_1..u_5 pairwise incomparable with exactly two 2341 copies each")
-
-
-def test_criterion_12_witness_soundness_to_seven():
-    replayed = 0
-    for n in range(0, 8):
-        for p in all_perms(n):
-            witness = sorting_witness(MachineKind.PS, p)
-            assert (witness is not None) == is_sortable(MachineKind.PS, p)
-            if witness is not None:
-                assert replay(MachineKind.PS, p, witness) == identity(n), p
-                replayed += 1
-    trace = moves_from_text(MachineKind.PS, "I,I,I,F,I,I,F,O,O,O,I,F,O,O,O")
-    assert replay(MachineKind.PS, parse("356124"), trace) == parse("123456")
-    report(f"ACCEPTANCE PASS 12: {replayed} PS witnesses replay to the "
-           "identity for n <= 7; the worked 356124 trace replays to 123456")
-
-
-def test_criterion_13_pruning_soundness_to_six():
-    checked = 0
-    for n in range(0, 7):
-        for p in all_perms(n):
-            for kind in MachineKind:
-                assert is_sortable(kind, p) == is_sortable_unpruned(kind, p), (
-                    kind, p,
-                )
-                checked += 1
-    report("ACCEPTANCE PASS 13: pruned and unpruned searches agree on "
-           f"{checked} (kind, permutation) pairs for n <= 6")
+def test_criterion_bounds():
+    tagged = {}
+    for check in _CHECKS:
+        if check.criterion is not None:
+            tagged.setdefault(check.criterion, []).append((check.name, check.full))
+    assert tagged == CRITERIA
+    tested = {name[15:17] for name in globals() if name.startswith("test_criterion_")}
+    assert tested >= set(CRITERIA)

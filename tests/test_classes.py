@@ -9,6 +9,7 @@ from popsort.classes import (
     ClassSpec,
     MalformedOracleError,
     compute_basis,
+    count_by_length,
     count_members,
     simples_in_class,
     structural_member,
@@ -83,6 +84,7 @@ class TestClassSpec:
     def test_predicate_spec(self):
         spec = ClassSpec.from_predicate("increasing", lambda p: list(p) == sorted(p))
         assert count_members(spec, 4) == 1
+        assert count_by_length(spec, 4) == [1, 1, 1, 1]
 
 
 class TestCountMembers:
@@ -102,6 +104,14 @@ class TestCountMembers:
     def test_jobs_do_not_change_counts(self):
         spec = ClassSpec.from_machine(MachineKind.PQS)
         assert count_members(spec, 5, jobs=2) == count_members(spec, 5, jobs=1)
+
+    def test_one_walk_counts_every_length(self):
+        calls = []
+        sp = ClassSpec.from_machine(MachineKind.SP)
+        spec = ClassSpec(sp.name, sp.canonical_text, lambda p: calls.append(p) or sp.member(p),
+                         sp.descriptor)
+        assert count_by_length(spec, 7) == [count_members(sp, n) for n in range(1, 8)]
+        assert len(calls) == 5511  # one count_members call per n makes 6583
 
     def test_machine_and_basis_agree_for_ps(self):
         for n in range(0, 7):

@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 import popsort.cli as cli
+from popsort import verify
 from popsort.machines import MachineKind
 from popsort.perms import identity, parse
 
@@ -224,6 +225,15 @@ class TestCache:
         assert code == 2
         assert tmp_path.is_dir()
 
+    def test_partial_cache_fills_the_missing_lengths(self, tmp_path):
+        cache = tmp_path / "counts.json"
+        base = ("enumerate", "--machine", "pqs", "--format", "csv")
+        run_cli(*base, "--max-len", "3", "--cache", str(cache))
+        code, text = run_cli(*base, "--max-len", "6", "--cache", str(cache))
+        assert code == 0
+        assert text == run_cli(*base, "--max-len", "6")[1]
+        assert sorted(json.loads(cache.read_text())["counts"].values()) == [1, 2, 6, 24, 120, 685]
+
     def test_wrong_version_rejected(self, tmp_path):
         cache = tmp_path / "counts.json"
         cache.write_text(json.dumps({"format_version": "0", "counts": {}}))
@@ -357,8 +367,21 @@ class TestVerify:
     def test_fast_suite_passes(self):
         code, text = run_cli("verify", "--suite", "fast")
         assert code == 0
-        assert "FAIL" not in text
-        assert text.strip().endswith("all invariants hold")
+        *lines, last = text.splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            ["PASS", check.name] for check in verify._CHECKS
+        ]
+        assert last == "all invariants hold"
+
+    def test_failing_entry_exits_one(self, monkeypatch):
+        failing = verify.Check("always-fails", 1, 2, lambda bound: (False, f"forced at {bound}"))
+        monkeypatch.setattr(verify, "_CHECKS", [verify._CHECKS[0], failing])
+        code, text = run_cli("verify", "--suite", "fast")
+        assert code == 1
+        first, second, last = text.splitlines()
+        assert first.startswith("PASS ")
+        assert second.startswith("FAIL always-fails (") and second.endswith("): forced at 1")
+        assert last == "INVARIANT FAILURES PRESENT"
 
 
 class TestUsage:
