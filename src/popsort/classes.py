@@ -33,10 +33,8 @@ from .perms import (
     Permutation,
     all_perms,
     avoids,
-    contains_values,
     is_simple_values,
     parallel_alternation,
-    pattern_of,
     substitution_decompose,
 )
 
@@ -323,12 +321,7 @@ def simples_in_class(basis: Iterable[Permutation], max_len: int) -> list[Permuta
 # increasing intervals and whose odd entries become members.
 # ---------------------------------------------------------------------------
 
-_REVERSE_LAYERED_OBSTRUCTIONS = ((1, 3, 2), (2, 1, 3))
 _structural_memo: dict[tuple[int, ...], bool] = {}
-
-
-def _is_reverse_layered(vals: tuple[int, ...]) -> bool:
-    return not any(contains_values(pv, vals) for pv in _REVERSE_LAYERED_OBSTRUCTIONS)
 
 
 def structural_member(p: Permutation) -> bool:
@@ -337,51 +330,36 @@ def structural_member(p: Permutation) -> bool:
 
 
 def _structural(vals: tuple[int, ...]) -> bool:
-    n = len(vals)
-    if n <= 1:
+    if len(vals) <= 1:
         return True
     cached = _structural_memo.get(vals)
     if cached is not None:
         return cached
-    result = _structural_uncached(vals, n)
+    result = _structural_uncached(vals)
     _structural_memo[vals] = result
     return result
 
 
-def _structural_uncached(vals: tuple[int, ...], n: int) -> bool:
-    # Direct sums: every summand must be a member.
-    mx = 0
-    start = 0
-    cuts = []
-    for i, w in enumerate(vals):
-        if w > mx:
-            mx = w
-        if mx == i + 1:
-            cuts.append((start, i + 1))
-            start = i + 1
-    if len(cuts) > 1:
-        return all(_structural(pattern_of(vals[a:b])) for a, b in cuts)
+def _is_increasing(vals: tuple[int, ...]) -> bool:
+    return vals == tuple(range(1, len(vals) + 1))
 
-    # Skew splits: reverse layered prefix over a member suffix.
-    mn = n + 1
-    for k in range(1, n):
-        if vals[k - 1] < mn:
-            mn = vals[k - 1]
-        if mn == n - k + 1:  # prefix holds exactly the top k values
-            if _is_reverse_layered(pattern_of(vals[:k])) and _structural(
-                pattern_of(vals[k:])
-            ):
-                return True
-    # Inflations of a parallel alternation.  For a permutation that is
-    # neither sum nor skew decomposable the simple quotient and blocks are
-    # unique; a skew decomposable permutation that survived to here gets a
-    # quotient of 21 and is correctly rejected.
+
+def _structural_uncached(vals: tuple[int, ...]) -> bool:
     quotient, parts = substitution_decompose(Permutation(vals))
     qv = quotient.values
+    # Direct sums: the first summand and the rest must both be members.
+    if qv == (1, 2):
+        return _structural(parts[0].values) and _structural(parts[1].values)
+    # Skew sums: a reverse layered permutation over a member.  The first
+    # part is skew indecomposable, so it is the first layer and must be
+    # increasing; the rest, the other layers over the member, must be a
+    # member.
+    if qv == (2, 1):
+        return _is_increasing(parts[0].values) and _structural(parts[1].values)
+    # Inflations of a parallel alternation, whose simple quotient and
+    # blocks are unique.
     m = len(qv) // 2
     if m >= 2 and qv == parallel_alternation(m).values:
-        evens_ok = all(
-            parts[t].values == tuple(range(1, len(parts[t]) + 1)) for t in range(m)
-        )
+        evens_ok = all(_is_increasing(parts[t].values) for t in range(m))
         return evens_ok and all(_structural(parts[t].values) for t in range(m, 2 * m))
     return False

@@ -155,19 +155,14 @@ def _matcher(prep, hv: Sequence[int], hb: Sequence[int]) -> Callable[[Optional[i
     return occurs
 
 
-def _div_contains_raw(prep, hv: Sequence[int], hb: Sequence[int]) -> bool:
-    """Containment anywhere in the host; see `_matcher`."""
-    return _matcher(prep, hv, hb)()
-
-
 def div_contains(pattern: DividedPattern, host: DividedPermutation) -> bool:
     """True iff the divided pattern occurs in the divided host."""
-    return _div_contains_raw(_prep_pattern(pattern), host.base.values, host.block_ids())
+    return _matcher(_prep_pattern(pattern), host.base.values, host.block_ids())()
 
 
 def div_avoids(host: DividedPermutation, patterns: Iterable[DividedPattern]) -> bool:
     hv, hb = host.base.values, host.block_ids()
-    return not any(_div_contains_raw(_prep_pattern(p), hv, hb) for p in patterns)
+    return not any(_matcher(_prep_pattern(p), hv, hb)() for p in patterns)
 
 
 def _dividers_of_mask(mask: int, n: int) -> tuple[int, ...]:

@@ -261,6 +261,16 @@ class Machine:
 # `is_sortable_unpruned` explores the raw move graph and is compared
 # against these searches by the test suite.
 #
+# Witnesses are recorded on the way back up.  A search appends to `rec`
+# only once the child a move leads to has returned True: that move, then
+# the forced moves that led into the current state.  `rec` therefore holds
+# the witness back to front and `sorting_witness` reverses it once; a
+# failed branch leaves nothing to roll back.  PS and DI record the outputs
+# a state forced on entry; in SP and SQP the push or dequeue that completed
+# the run records the child's flush (it flushes iff the moved value is the
+# next needed one); PQS records its whole drain reversed.  With `rec` None
+# (a decision) no list is touched.
+#
 # Each recursive `dfs` refers to itself, a reference cycle that would keep
 # its `failed` memo alive until the cyclic garbage collector runs; the
 # searches delete the name on return so that the memo is freed at once.
@@ -285,6 +295,8 @@ def _solve_s(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
                 rec.append(Move.INPUT)
         else:
             return False
+    if rec is not None:
+        rec.reverse()  # the single forced path was recorded front to back
     return True
 
 
@@ -299,28 +311,22 @@ def _solve_ps(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
             stack = stack[:-1]
             nn += 1
             outs += 1
-        if rec is not None and outs:
-            rec.extend((Move.OUTPUT,) * outs)
         if nn > n:
+            if rec is not None:
+                rec.extend((Move.OUTPUT,) * outs)
             return True
         key = (i, j, stack, nn)
         if key in failed:
             return False
-        mark = len(rec) if rec is not None else 0
-        if i < n and (j == i or p[i] > p[i - 1]):
+        if i < n and (j == i or p[i] > p[i - 1]) and dfs(i + 1, j, stack, nn):
             if rec is not None:
-                rec.append(Move.INPUT)
-            if dfs(i + 1, j, stack, nn):
-                return True
+                rec.extend((Move.INPUT,) + (Move.OUTPUT,) * outs)
+            return True
+        if (j < i and (not stack or p[i - 1] < stack[-1])
+                and dfs(i, i, stack + p[j:i][::-1], nn)):
             if rec is not None:
-                del rec[mark:]
-        if j < i and (not stack or p[i - 1] < stack[-1]):
-            if rec is not None:
-                rec.append(Move.FLUSH_POP)
-            if dfs(i, i, stack + p[j:i][::-1], nn):
-                return True
-            if rec is not None:
-                del rec[mark:]
+                rec.extend((Move.FLUSH_POP,) + (Move.OUTPUT,) * outs)
+            return True
         failed.add(key)
         return False
 
@@ -348,14 +354,10 @@ def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         key = (i, j, stack, nn)
         if key in failed:
             return False
-        mark = len(rec) if rec is not None else 0
-        if i < n:
+        if i < n and dfs(i + 1, j, stack, nn):
             if rec is not None:
                 rec.append(Move.INPUT)
-            if dfs(i + 1, j, stack, nn):
-                return True
-            if rec is not None:
-                del rec[mark:]
+            return True
         if j < i:
             st = stack
             nn2 = nn
@@ -374,13 +376,10 @@ def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
                     nn2 += 1
                     if drain is not None:
                         drain.append(Move.OUTPUT)
-            if alive:
-                if rec is not None:
-                    rec.extend(drain)
-                if dfs(i, i, st, nn2):
-                    return True
-                if rec is not None:
-                    del rec[mark:]
+            if alive and dfs(i, i, st, nn2):
+                if drain is not None:
+                    rec.extend(reversed(drain))
+                return True
         failed.add(key)
         return False
 
@@ -414,30 +413,24 @@ def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         if pop and pop[-1] == nn:
             nn += len(pop)
             pop = ()
-            if rec is not None:
-                rec.append(Move.FLUSH_OUTPUT)
         if nn > n:
             return True
         key = (i, stack, pop, nn)
         if key in failed:
             return False
-        mark = len(rec) if rec is not None else 0
         if i < n:
             c = _input_ceiling(stack, ceil[-1], p[i], pop[-1] if pop else 0)
-            if c:
+            if c and dfs(i + 1, stack + (p[i],), ceil + (c,), pop, nn):
                 if rec is not None:
                     rec.append(Move.INPUT)
-                if dfs(i + 1, stack + (p[i],), ceil + (c,), pop, nn):
-                    return True
-                if rec is not None:
-                    del rec[mark:]
-        if stack and (not pop or stack[-1] == pop[-1] - 1):
-            if rec is not None:
-                rec.append(Move.PUSH_ONE)
-            if dfs(i, stack[:-1], ceil[:-1], pop + (stack[-1],), nn):
                 return True
+        if (stack and (not pop or stack[-1] == pop[-1] - 1)
+                and dfs(i, stack[:-1], ceil[:-1], pop + (stack[-1],), nn)):
             if rec is not None:
-                del rec[mark:]
+                if stack[-1] == nn:
+                    rec.append(Move.FLUSH_OUTPUT)
+                rec.append(Move.PUSH_ONE)
+            return True
         failed.add(key)
         return False
 
@@ -460,41 +453,33 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         if pop and pop[-1] == nn:
             nn += len(pop)
             pop = ()
-            if rec is not None:
-                rec.append(Move.FLUSH_OUTPUT)
         if nn > n:
             return True
         key = (i, stack, flow, d, pop, nn)
         if key in failed:
             return False
-        mark = len(rec) if rec is not None else 0
         if i < n:
             c = _input_ceiling(stack, ceil[-1], p[i], last)
-            if c:
+            if c and dfs(i + 1, stack + (p[i],), ceil + (c,), flow, d, pop, nn, lo, top, last):
                 if rec is not None:
                     rec.append(Move.INPUT)
-                if dfs(i + 1, stack + (p[i],), ceil + (c,), flow, d, pop, nn, lo, top, last):
-                    return True
-                if rec is not None:
-                    del rec[mark:]
+                return True
         if stack and (stack[-1] == last - 1 if last else stack[-1] >= lo):
             x = stack[-1]
             run_top = top if last else x
             # pushing lo closes the run
             runs = (run_top + 1, 0, 0) if x == lo else (lo, run_top, x)
-            if rec is not None:
-                rec.append(Move.PUSH_ONE)
             if dfs(i, stack[:-1], ceil[:-1], flow + (x,), d, pop, nn, *runs):
+                if rec is not None:
+                    rec.append(Move.PUSH_ONE)
                 return True
+        if (d < len(flow) and (not pop or flow[d] == pop[-1] - 1)
+                and dfs(i, stack, ceil, flow, d + 1, pop + (flow[d],), nn, lo, top, last)):
             if rec is not None:
-                del rec[mark:]
-        if d < len(flow) and (not pop or flow[d] == pop[-1] - 1):
-            if rec is not None:
+                if flow[d] == nn:
+                    rec.append(Move.FLUSH_OUTPUT)
                 rec.append(Move.DEQUEUE)
-            if dfs(i, stack, ceil, flow, d + 1, pop + (flow[d],), nn, lo, top, last):
-                return True
-            if rec is not None:
-                del rec[mark:]
+            return True
         failed.add(key)
         return False
 
@@ -514,28 +499,22 @@ def _solve_di(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
             second = second[:-1]
             nn += 1
             outs += 1
-        if rec is not None and outs:
-            rec.extend((Move.OUTPUT,) * outs)
         if nn > n:
+            if rec is not None:
+                rec.extend((Move.OUTPUT,) * outs)
             return True
         key = (i, first, second, nn)
         if key in failed:
             return False
-        mark = len(rec) if rec is not None else 0
-        if i < n and (not first or p[i] > first[-1]):
+        if i < n and (not first or p[i] > first[-1]) and dfs(i + 1, first + (p[i],), second, nn):
             if rec is not None:
-                rec.append(Move.INPUT)
-            if dfs(i + 1, first + (p[i],), second, nn):
-                return True
+                rec.extend((Move.INPUT,) + (Move.OUTPUT,) * outs)
+            return True
+        if (first and (not second or first[-1] < second[-1])
+                and dfs(i, first[:-1], second + (first[-1],), nn)):
             if rec is not None:
-                del rec[mark:]
-        if first and (not second or first[-1] < second[-1]):
-            if rec is not None:
-                rec.append(Move.PUSH_ONE)
-            if dfs(i, first[:-1], second + (first[-1],), nn):
-                return True
-            if rec is not None:
-                del rec[mark:]
+                rec.extend((Move.PUSH_ONE,) + (Move.OUTPUT,) * outs)
+            return True
         failed.add(key)
         return False
 
@@ -563,7 +542,10 @@ def is_sortable(kind: MachineKind, p: Permutation) -> bool:
 def sorting_witness(kind: MachineKind, p: Permutation) -> Optional[list[Move]]:
     """A move sequence sorting p, or None; present iff `is_sortable`."""
     rec: list[Move] = []
-    return rec if _SOLVERS[kind](p.values, rec) else None
+    if not _SOLVERS[kind](p.values, rec):
+        return None
+    rec.reverse()
+    return rec
 
 
 def replay(kind: MachineKind, p: Permutation, moves: Iterable[Move]) -> Permutation:

@@ -226,9 +226,24 @@ def closed_form(terms: int) -> PowerSeries:
     return f
 
 
-def _rhs(f: PowerSeries, x: PowerSeries) -> PowerSeries:
+class SeriesComponents(NamedTuple):
+    sum_part: PowerSeries          # sum decomposable members: f^2/(1+f)
+    skew_part: PowerSeries         # skew decomposable members: xf/(1-x)
+    alternation_part: PowerSeries  # inflations of parallel alternations
+
+
+def _terms(f: PowerSeries, x: PowerSeries) -> SeriesComponents:
+    """The three terms that the defining equation adds to x."""
     xf = x * f
-    return x + (f * f) / (1 + f) + xf / (1 - x) + (xf * xf) / ((1 - x) * (1 - x - xf))
+    return SeriesComponents(
+        sum_part=(f * f) / (1 + f),
+        skew_part=xf / (1 - x),
+        alternation_part=(xf * xf) / ((1 - x) * (1 - x - xf)),
+    )
+
+
+def _rhs(f: PowerSeries, x: PowerSeries) -> PowerSeries:
+    return sum(_terms(f, x), x)  # x + sum_part + skew_part + alternation_part
 
 
 def fixed_point(terms: int) -> PowerSeries:
@@ -251,19 +266,6 @@ def fixed_point(terms: int) -> PowerSeries:
     raise AssertionError(f"fixed-point iteration did not settle within {terms + 2} rounds")
 
 
-class SeriesComponents(NamedTuple):
-    sum_part: PowerSeries          # sum decomposable members: f^2/(1+f)
-    skew_part: PowerSeries         # skew decomposable members: xf/(1-x)
-    alternation_part: PowerSeries  # inflations of parallel alternations
-
-
 def components(terms: int) -> SeriesComponents:
     """The three structural component series built from the closed form."""
-    f = closed_form(terms)
-    x = PowerSeries.x(terms)
-    xf = x * f
-    return SeriesComponents(
-        sum_part=(f * f) / (1 + f),
-        skew_part=xf / (1 - x),
-        alternation_part=(xf * xf) / ((1 - x) * (1 - x - xf)),
-    )
+    return _terms(closed_form(terms), PowerSeries.x(terms))

@@ -17,6 +17,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from functools import cache
 from typing import Any, Callable, Iterable, NamedTuple
 
 from . import machines, series
@@ -216,7 +217,8 @@ def _chk_pqs_division(bound: int):
 @_check("pqs-division-equals-local-reversals", fast=5, full=8)
 def _chk_local_reversals(bound: int):
     pats = DIVIDED_OBSTRUCTIONS[MachineKind.PQS]
-    stack_sortable = lambda q: not contains(parse("231"), q)
+    pat = parse("231")
+    stack_sortable = lambda q: not contains(pat, q)
     for p in _perms_upto(bound):
         via_division = exists_division_avoiding(p, pats) is not None
         via_reversal = reachable_by_local_reversals(p, stack_sortable)
@@ -498,15 +500,7 @@ def _chk_antichain_pairs(max_k: int):
 
 @_check("divided-class-downward-closed", fast=6, full=8)
 def _chk_divided_closure(bound: int):
-    memo: dict[tuple[int, ...], bool] = {}
-
-    def member(p: Permutation) -> bool:
-        got = memo.get(p.values)
-        if got is None:
-            got = in_avoidance_class(p)
-            memo[p.values] = got
-        return got
-
+    member = cache(in_avoidance_class)
     for p in _perms_upto(bound, start=2):
         if member(p) and not all(member(d) for d in one_entry_deletions(p)):
             return False, f"deleting from member {p} leaves the class"

@@ -257,6 +257,18 @@ class TestWitnessStability:
             "ed581024b5995282705fc99597652ca44d6c316911f7dd890926585c8663de66"
         )
 
+    # Recorded while the searches still appended each move before trying
+    # it and rolled back on failure.
+    @pytest.mark.parametrize("kind,expected", [
+        (MachineKind.S, "a55a7f687d62db1737d59e6b9e01939c0a4b4c2828ddbbc207b4b8237926bfab"),
+        (MachineKind.PS, "9a5b9e6abd9e27b927e9cea577b22bbceca6c98df4b67e4c04872c8746f71177"),
+        (MachineKind.PQS, "0e531bf26bcf1c2d37680b53463c77872ed44d569c80548e74ef9c3fb111f0e0"),
+        (MachineKind.DI, "7d8774879fe0099f52414e0ac0f93597d1c2aa38c46bd94cd59ab65286dc69cf"),
+    ], ids=["s", "ps", "pqs", "di"])
+    def test_witnesses_to_eight(self, kind, expected):
+        perms = (p for n in range(9) for p in all_perms(n))
+        assert self.digest(kind, perms) == expected
+
     def test_seeded_members(self):
         rng = random.Random("witness-stability")
         sp = [random_member(MachineKind.SP, rng.randint(40, 50), rng) for _ in range(30)]
