@@ -258,6 +258,16 @@ class Machine:
 #   2. No INPUT while b - 1 is on top of the stack, where b ends the open
 #      run (SP: the pop stack's top; SQP: `last`): only b - 1 may leave
 #      the stack next, and a value put on it could never move.
+#
+# In PQS an INPUT x joins the open block, and the flush that ends the
+# block drains it onto the stack last entry first: x is fed before the
+# block's least entry lo, and no value above lo can be output before lo.
+# `_pqs_block` refuses x by two rules, the obstructions 132 and 2|13 of
+# `DIVIDED_OBSTRUCTIONS[PQS]`:
+#   A. lo < x < hi, hi the largest entry after lo in the block: hi is fed
+#      after x and before lo, so it lands on x, which still waits for lo.
+#   B. x > lo and x > cap, cap the least stack value above lo: x lands
+#      above cap, which still waits for lo.
 # `is_sortable_unpruned` explores the raw move graph and is compared
 # against these searches by the test suite.
 #
@@ -347,17 +357,22 @@ def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
     n = len(p)
     failed: set[tuple] = set()
 
-    def dfs(i: int, j: int, stack: tuple[int, ...], nn: int) -> bool:
-        # pop stack = p[j:i], oldest first; queue empty
+    def dfs(i: int, j: int, stack: tuple[int, ...], nn: int,
+            block: tuple[int, int, int]) -> bool:
+        # pop stack = p[j:i], oldest first; queue empty.  block = (lo, hi,
+        # cap) of p[j:i] when j < i (see `_pqs_block`); it is a function of
+        # i, j and stack, so the key omits it.
         if nn > n:
             return True
         key = (i, j, stack, nn)
         if key in failed:
             return False
-        if i < n and dfs(i + 1, j, stack, nn):
-            if rec is not None:
-                rec.append(Move.INPUT)
-            return True
+        if i < n:
+            grown = _pqs_block(p, i, j, stack, block)
+            if grown and dfs(i + 1, j, stack, nn, grown):
+                if rec is not None:
+                    rec.append(Move.INPUT)
+                return True
         if j < i:
             st = stack
             nn2 = nn
@@ -376,7 +391,7 @@ def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
                     nn2 += 1
                     if drain is not None:
                         drain.append(Move.OUTPUT)
-            if alive and dfs(i, i, st, nn2):
+            if alive and dfs(i, i, st, nn2, (0, 0, 0)):
                 if drain is not None:
                     rec.extend(reversed(drain))
                 return True
@@ -384,9 +399,31 @@ def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         return False
 
     try:
-        return dfs(0, 0, (), 1)
+        return dfs(0, 0, (), 1, (0, 0, 0))
     finally:
         del dfs
+
+
+def _pqs_block(p: tuple[int, ...], i: int, j: int, stack: tuple[int, ...],
+               block: tuple[int, int, int]) -> Optional[tuple[int, int, int]]:
+    """The open block's (lo, hi, cap) once x = p[i] joins it, or None if
+    rule A or B refuses that INPUT.
+
+    The open block is p[j:i], and `block` its (lo, hi, cap) unless it is
+    empty: lo is its least entry, hi the largest entry after lo (0: none)
+    and cap the least stack value above lo (len(p) + 1: none).  Only a new
+    least entry scans the stack.
+    """
+    x = p[i]
+    lo, hi, cap = block
+    if j < i and x > lo:
+        if x < hi or x > cap:
+            return None
+        return lo, x, cap
+    for v in reversed(stack):  # the stack decreases towards its top
+        if v > x:
+            return x, 0, v
+    return x, 0, len(p) + 1
 
 
 def _input_ceiling(stack: tuple[int, ...], ceiling: int, x: int, b: int) -> int:

@@ -279,6 +279,18 @@ class TestWitnessStability:
             "dec647d483269d36b8dc17cd341e47dfd426af95210b86f7c8574265ed9b68cf",
         )
 
+    # Recorded before PQS refused dead INPUTs.  PQS sorts p iff SP sorts
+    # p.dual(), so the duals of SP members are long PQS members.
+    def test_seeded_pqs_members(self):
+        rng = random.Random("pqs-witness-stability")
+        members = [random_member(MachineKind.SP, rng.randint(40, 80), rng).dual()
+                   for _ in range(30)]
+        uniform = [Permutation(tuple(rng.sample(range(1, n + 1), n)))
+                   for n in (rng.randint(9, 11) for _ in range(30))]
+        assert self.digest(MachineKind.PQS, members + uniform) == (
+            "7bb6afc243bb92674a7d16dd1af45e626de6830be1e578a6963196c48bf19093"
+        )
+
 
 class TestReplay:
     def test_figure_replay(self):
@@ -371,8 +383,8 @@ class TestPruningSoundness:
 
 
 class TestDeadInputRules:
-    """The two rules by which SP and SQP refuse an INPUT, each on a small
-    permutation where the search meets it."""
+    """The two rules by which SP and SQP refuse an INPUT, and the two by
+    which PQS does, each on a small permutation where the search meets it."""
 
     def test_ceiling(self):
         assert machines._input_ceiling((), 4, 2, 0) == 4
@@ -421,3 +433,52 @@ class TestDeadInputRules:
         p = parse(text)
         assert is_sortable(kind, p) == is_sortable_unpruned(kind, p) is True
         assert refusal in refused
+
+    @staticmethod
+    def pqs_refusals(p, check=None):
+        """(block, x, stack) of each INPUT the PQS search refuses on p."""
+        refused = []
+        rule = machines._pqs_block
+
+        def spy(q, i, j, stack, block):
+            grown = rule(q, i, j, stack, block)
+            if grown is None:
+                refused.append((q[j:i], q[i], stack))
+            elif check is not None:
+                check(q[j:i + 1], stack, grown)
+            return grown
+
+        machines._pqs_block = spy
+        try:
+            is_sortable(MachineKind.PQS, p)
+        finally:
+            machines._pqs_block = rule
+        return refused
+
+    @pytest.mark.parametrize("text, refusal", [
+        # rule A: 2 in the block 1, 3; the drain would put 3 on 2
+        ("132", ((1, 3), 2, ())),
+        # rule B: 4 in the block 2 would land on 3, which waits for 2
+        ("1324", ((2,), 4, (3,))),
+    ])
+    def test_pqs_refused_input_keeps_answer(self, text, refusal):
+        p = parse(text)
+        assert refusal in self.pqs_refusals(p)
+        assert (is_sortable(MachineKind.PQS, p) == is_sortable_unpruned(MachineKind.PQS, p)
+                == is_sortable_by_division(MachineKind.PQS, p) is True)
+
+    @given(perm_strategy(max_n=9))
+    def test_pqs_refusals_are_justified(self, p):
+        # A refused x completes a 132 inside its block, or exceeds a stack
+        # value above the block's least entry.  An accepted x leaves
+        # (lo, hi, cap) a function of the block and the stack.
+        def check(block, stack, grown):
+            lo = min(block)
+            after = block[block.index(lo) + 1:]
+            cap = min((v for v in stack if v > lo), default=len(p) + 1)
+            assert grown == (lo, max(after, default=0), cap)
+
+        for block, x, stack in self.pqs_refusals(p, check):
+            lo = min(block)
+            assert (any(y < x < z for a, y in enumerate(block) for z in block[a + 1:])
+                    or any(lo < v < x for v in stack))
