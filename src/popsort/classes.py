@@ -34,8 +34,7 @@ from .perms import (
     all_perms,
     avoids,
     is_simple_values,
-    parallel_alternation,
-    substitution_decompose,
+    substitution_decompose_values,
 )
 
 
@@ -318,7 +317,9 @@ def simples_in_class(basis: Iterable[Permutation], max_len: int) -> list[Permuta
 # PS-sortable permutations).  A member is a sum of members, or a skew sum
 # of a reverse layered permutation over a member, or an inflation of a
 # parallel alternation 24...(2m)13...(2m-1) whose even entries become
-# increasing intervals and whose odd entries become members.
+# increasing intervals and whose odd entries become members.  It works on
+# value tuples: the quotient and block spans come from the tuple core of
+# the substitution decomposition, and no Permutation is built per call.
 # ---------------------------------------------------------------------------
 
 _structural_memo: dict[tuple[int, ...], bool] = {}
@@ -340,26 +341,43 @@ def _structural(vals: tuple[int, ...]) -> bool:
     return result
 
 
-def _is_increasing(vals: tuple[int, ...]) -> bool:
-    return vals == tuple(range(1, len(vals) + 1))
+def _is_run(vals: tuple[int, ...], a: int, b: int) -> bool:
+    """True iff vals[a:b] is increasing by steps of one."""
+    return vals[a:b] == tuple(range(vals[a], vals[a] + b - a))
+
+
+def _part(vals: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """Block vals[a:b] of a decomposition rank-normalised.  The block holds
+    an interval of values, so subtracting its minimum less one suffices."""
+    block = vals[a:b]
+    shift = min(block) - 1
+    return tuple(w - shift for w in block) if shift else block
+
+
+@cache
+def _alternation(m: int) -> tuple[int, ...]:
+    """Values of parallel_alternation(m), without building it."""
+    return tuple(range(2, 2 * m + 1, 2)) + tuple(range(1, 2 * m, 2))
 
 
 def _structural_uncached(vals: tuple[int, ...]) -> bool:
-    quotient, parts = substitution_decompose(Permutation(vals))
-    qv = quotient.values
+    qv, spans = substitution_decompose_values(vals)
     # Direct sums: the first summand and the rest must both be members.
     if qv == (1, 2):
-        return _structural(parts[0].values) and _structural(parts[1].values)
+        (a, b), (c, d) = spans
+        return _structural(_part(vals, a, b)) and _structural(_part(vals, c, d))
     # Skew sums: a reverse layered permutation over a member.  The first
     # part is skew indecomposable, so it is the first layer and must be
     # increasing; the rest, the other layers over the member, must be a
     # member.
     if qv == (2, 1):
-        return _is_increasing(parts[0].values) and _structural(parts[1].values)
+        (a, b), (c, d) = spans
+        return _is_run(vals, a, b) and _structural(_part(vals, c, d))
     # Inflations of a parallel alternation, whose simple quotient and
     # blocks are unique.
     m = len(qv) // 2
-    if m >= 2 and qv == parallel_alternation(m).values:
-        evens_ok = all(_is_increasing(parts[t].values) for t in range(m))
-        return evens_ok and all(_structural(parts[t].values) for t in range(m, 2 * m))
+    if m >= 2 and qv == _alternation(m):
+        return all(_is_run(vals, a, b) for a, b in spans[:m]) and all(
+            _structural(_part(vals, a, b)) for a, b in spans[m:]
+        )
     return False

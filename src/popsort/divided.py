@@ -230,5 +230,23 @@ def blockwise_reverse(d: DividedPermutation) -> Permutation:
 def reachable_by_local_reversals(
     p: Permutation, membership: Callable[[Permutation], bool]
 ) -> bool:
-    """True iff some division of p blockwise-reverses into the given set."""
-    return any(membership(blockwise_reverse(d)) for d in all_divisions(p))
+    """True iff some division of p blockwise-reverses into the given set.
+
+    Tries the divisions in all_divisions order, reversing the blocks of
+    each divider mask straight from p's values.
+    """
+    v = p.values
+    n = len(v)
+    if n == 0:
+        return membership(p)
+    for mask in range(1 << (n - 1)):
+        out: list[int] = []
+        start = 0
+        for t in range(1, n):
+            if mask >> (t - 1) & 1:
+                out += v[start:t][::-1]
+                start = t
+        out += v[start:][::-1]
+        if membership(Permutation(tuple(out))):
+            return True
+    return False

@@ -265,56 +265,37 @@ def is_simple_values(v: tuple[int, ...]) -> bool:
     return True
 
 
-def _shortest_sum_prefix(v: tuple[int, ...]) -> int:
-    """Length of the shortest proper prefix holding exactly {1..k}, or 0."""
-    mx = 0
-    for k in range(1, len(v)):
-        mx = max(mx, v[k - 1])
-        if mx == k:
-            return k
-    return 0
+def substitution_decompose_values(
+    v: tuple[int, ...],
+) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """Raw-tuple core of substitution_decompose.
 
-
-def _shortest_skew_prefix(v: tuple[int, ...]) -> int:
-    """Length of the shortest proper prefix holding exactly {n-k+1..n}, or 0."""
-    n = len(v)
-    mn = n + 1
-    for k in range(1, n):
-        mn = min(mn, v[k - 1])
-        if mn == n - k + 1:
-            return k
-    return 0
-
-
-def substitution_decompose(p: Permutation) -> tuple[Permutation, list[Permutation]]:
-    """Split pi into its unique simple quotient and inflation parts.
-
-    When the quotient is 12 (resp. 21) the first part is the shortest
-    sum-indecomposable (resp. skew-indecomposable) prefix, which pins the
-    decomposition down uniquely.
+    Returns the quotient values and the block spans [a, b), one per
+    quotient entry; block i is v[a:b] and holds an interval of values.
+    Builds no Permutation and runs no self-check.
     """
-    v = p.values
     n = len(v)
     if n == 0:
         raise ValueError("cannot decompose the empty permutation")
     if n == 1:
-        return p, [p]
-    k = _shortest_sum_prefix(v)
-    if k:
-        return (
-            Permutation((1, 2)),
-            [Permutation(pattern_of(v[:k])), Permutation(pattern_of(v[k:]))],
-        )
-    k = _shortest_skew_prefix(v)
-    if k:
-        return (
-            Permutation((2, 1)),
-            [Permutation(pattern_of(v[:k])), Permutation(pattern_of(v[k:]))],
-        )
+        return (1,), [(0, 1)]
+    # The shortest proper prefix holding {1..k} makes the quotient 12, the
+    # shortest holding {n-k+1..n} makes it 21; at most one of them exists.
+    mx, mn = 0, n + 1
+    for k in range(1, n):
+        w = v[k - 1]
+        if w > mx:
+            mx = w
+        if w < mn:
+            mn = w
+        if mx == k:
+            return (1, 2), [(0, k), (k, n)]
+        if mn == n - k + 1:
+            return (2, 1), [(0, k), (k, n)]
     # Neither sum nor skew decomposable: the quotient is simple of length
     # >= 4, every proper interval lies inside one block, and the blocks are
     # exactly the maximal proper intervals, found by a left-to-right scan.
-    blocks: list[tuple[int, int]] = []
+    spans: list[tuple[int, int]] = []
     i = 0
     while i < n:
         best = i
@@ -327,10 +308,26 @@ def substitution_decompose(p: Permutation) -> tuple[Permutation, list[Permutatio
                 mx = w
             if mx - mn == j - i:
                 best = j
-        blocks.append((i, best))
+        spans.append((i, best + 1))
         i = best + 1
-    quotient = Permutation(pattern_of([v[a] for a, _ in blocks]))
-    parts = [Permutation(pattern_of(v[a : b + 1])) for a, b in blocks]
+    # The blocks are disjoint value intervals, so any entry ranks its block.
+    return pattern_of([v[a] for a, _ in spans]), spans
+
+
+def substitution_decompose(p: Permutation) -> tuple[Permutation, list[Permutation]]:
+    """Split pi into its unique simple quotient and inflation parts.
+
+    When the quotient is 12 (resp. 21) the first part is the shortest
+    sum-indecomposable (resp. skew-indecomposable) prefix, which pins the
+    decomposition down uniquely.  The scans live in the tuple core
+    substitution_decompose_values, which the structural recognizer in
+    `classes` shares; this wrapper builds the Permutations and checks that
+    the quotient is simple and inflates back to pi.
+    """
+    v = p.values
+    qv, spans = substitution_decompose_values(v)
+    quotient = Permutation(qv)
+    parts = [Permutation(pattern_of(v[a:b])) for a, b in spans]
     if not is_simple(quotient) or inflate(quotient, parts).values != v:
         raise AssertionError(f"substitution decomposition failed for {p}")
     return quotient, parts

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import perm_strategy
+from popsort import classes
 from popsort.classes import (
     ClassSpec,
     MalformedOracleError,
@@ -20,8 +21,10 @@ from popsort.perms import (
     Permutation,
     all_perms,
     avoids,
+    identity,
     inflate,
     one_entry_deletions,
+    parallel_alternation,
     parse,
 )
 from popsort.series import closed_form
@@ -273,6 +276,37 @@ class TestSimples:
         ]
 
 
+@st.composite
+def ps_members(draw, n):
+    """A member of Av(2431, 3142, 3241) of length n, built by its shape: a
+    direct sum of members, an increasing run skew-summed over a member, or
+    an inflation of a parallel alternation with m = 2..4 whose even entries
+    become increasing runs and whose odd entries become members."""
+    if n <= 1:
+        return identity(n)
+    shapes = ["sum", "skew"] + (["alternation"] if n >= 4 else [])
+    shape = draw(st.sampled_from(shapes))
+    if shape != "alternation":
+        k = draw(st.integers(1, n - 1))
+        if shape == "sum":
+            return draw(ps_members(k)).direct_sum(draw(ps_members(n - k)))
+        return identity(k).skew_sum(draw(ps_members(n - k)))
+    m = draw(st.integers(2, min(4, n // 2)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=2 * m - 1, max_size=2 * m - 1)))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    parts = [identity(s) for s in sizes[:m]] + [draw(ps_members(s)) for s in sizes[m:]]
+    return inflate(parallel_alternation(m), parts)
+
+
+@st.composite
+def adjacent_swaps(draw, p):
+    """p with two adjacent entries swapped: near a member when p is one."""
+    i = draw(st.integers(0, len(p) - 2))
+    v = list(p.values)
+    v[i], v[i + 1] = v[i + 1], v[i]
+    return Permutation(tuple(v))
+
+
 class TestStructuralMember:
     def test_figure_permutation(self):
         assert structural_member(parse("24513"))
@@ -299,6 +333,40 @@ class TestStructuralMember:
         for n in range(0, 8):
             for p in all_perms(n):
                 assert structural_member(p) == avoids(p, PS_BASIS), p
+
+    def test_builds_no_permutation(self, monkeypatch):
+        inputs = [p for n in range(0, 8) for p in all_perms(n)]
+        monkeypatch.setattr(classes, "_structural_memo", {})
+        built = []
+        validate = Permutation.__post_init__
+
+        def spy(p):
+            built.append(p.values)
+            validate(p)
+
+        monkeypatch.setattr(Permutation, "__post_init__", spy)
+        for p in inputs:
+            structural_member(p)
+        assert built == []
+        # perfbench reports this size as classes.structural_memo_entries.
+        assert len(classes._structural_memo) == 5912
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_avoidance_long(self, data):
+        p = data.draw(
+            st.one_of(
+                perm_strategy(max_n=16, min_n=10),
+                st.integers(10, 16).flatmap(ps_members),
+                st.integers(10, 16).flatmap(ps_members).flatmap(adjacent_swaps),
+            )
+        )
+        assert structural_member(p) == avoids(p, PS_BASIS), p
+
+    @given(st.integers(10, 16).flatmap(ps_members))
+    def test_members_by_construction_long(self, p):
+        assert avoids(p, PS_BASIS), p
+        assert structural_member(p), p
 
     def test_reverse_layered_members(self):
         # iota_1 (-) iota_2 (-) ... shapes are members for any increasing runs

@@ -223,6 +223,29 @@ class TestLocalReversals:
                 via_division = exists_division_avoiding(p, PQS_PATTERNS) is not None
                 assert via_division == reachable_by_local_reversals(p, self.avoids_231)
 
+    def test_tries_blockwise_reversals_in_division_order(self):
+        # The reference: blockwise_reverse of every all_divisions entry.
+        for n in range(0, 6):
+            for p in all_perms(n):
+                tried = []
+                assert not reachable_by_local_reversals(
+                    p, lambda q: tried.append(q) or False
+                )
+                assert tried == [blockwise_reverse(d) for d in all_divisions(p)]
+
+    def test_stops_at_first_accepted_reversal(self):
+        p = parse("2413")
+        expected = [blockwise_reverse(d) for d in all_divisions(p)]
+        for stop in range(len(expected)):
+            tried = []
+
+            def member(q):
+                tried.append(q)
+                return len(tried) == stop + 1
+
+            assert reachable_by_local_reversals(p, member)
+            assert tried == expected[: stop + 1]
+
 
 class TestMachineCharacterizations:
     def test_ps_division_matches_simulator_small(self):

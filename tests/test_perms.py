@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import perm_strategy
+from popsort import perms
 from popsort.perms import (
     EMPTY,
     ParseError,
@@ -19,6 +20,7 @@ from popsort.perms import (
     parse,
     pattern_of,
     substitution_decompose,
+    substitution_decompose_values,
 )
 
 
@@ -230,6 +232,31 @@ class TestDecompose:
                 quotient, parts = substitution_decompose(p)
                 assert is_simple(quotient)
                 assert inflate(quotient, parts) == p
+
+    def test_wrapper_agrees_with_tuple_core(self):
+        for n in range(1, 8):
+            for p in all_perms(n):
+                v = p.values
+                qv, spans = substitution_decompose_values(v)
+                quotient, parts = substitution_decompose(p)
+                assert quotient.values == qv
+                assert [q.values for q in parts] == [pattern_of(v[a:b]) for a, b in spans]
+
+    def test_self_check_catches_wrong_core(self, monkeypatch):
+        # The quotient 12 over the blocks of 21 inflates to 12, not 21.
+        monkeypatch.setattr(
+            perms, "substitution_decompose_values", lambda v: ((1, 2), [(0, 1), (1, 2)])
+        )
+        with pytest.raises(AssertionError):
+            substitution_decompose(parse("21"))
+        # Singleton blocks round-trip, but the quotient 123 is not simple.
+        monkeypatch.setattr(
+            perms,
+            "substitution_decompose_values",
+            lambda v: (v, [(i, i + 1) for i in range(len(v))]),
+        )
+        with pytest.raises(AssertionError):
+            substitution_decompose(parse("123"))
 
     @given(perm_strategy(max_n=8, min_n=1))
     def test_roundtrip_property(self, p):
