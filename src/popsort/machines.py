@@ -14,10 +14,13 @@ Kinds (first device listed first):
 
 A machine sorts pi when some move sequence emits 1,...,n.  Output-type
 moves are restricted to emitting the smallest outstanding value, which
-turns the output into a counter.  `Machine` exposes the raw move
-semantics; `is_sortable`/`sorting_witness` run a pruned depth-first
-search over configurations, and `is_sortable_unpruned` is the slow
-reference search used to validate the pruning.
+turns the output into a counter.  `Machine.successors` is the one
+statement of the raw move semantics: each legal move with the state it
+leads to.  `apply_move` checks one step against it, `replay` runs a move
+sequence through it, and `is_sortable_unpruned` is the slow reference
+search over the graph it spans, used to validate the pruning.
+`is_sortable`/`sorting_witness` run a pruned depth-first search over
+configurations.
 """
 from __future__ import annotations
 
@@ -126,107 +129,56 @@ class Machine:
     def initial_state(self) -> MachineState:
         return MachineState()
 
-    def is_sorted(self, state: MachineState) -> bool:
-        return state.next_needed == len(self.perm) + 1
+    def successors(self, state: MachineState) -> list[tuple[Move, MachineState]]:
+        """Each move legal in `state` with the state it leads to.
 
-    def legal_moves(self, state: MachineState) -> list[Move]:
-        """Moves applicable in `state`, output-type moves first.
-
-        Flushing an empty pop stack is never offered (it would be a no-op),
-        and output moves are only offered when they emit the next needed
-        value (or, for SP/SQP, the run starting at it).
+        The order is fixed: the output-type move, INPUT, FLUSH_POP or
+        PUSH_ONE, then DEQUEUE.  Flushing an empty pop stack is never
+        offered (it would be a no-op), and output moves are only offered
+        when they emit the next needed value (or, for SP/SQP, the run
+        starting at it).
         """
         kind = self.kind
         p = self.perm.values
         i, pop, queue, stack, nn = (
             state.input_pos, state.pop, state.queue, state.stack, state.next_needed,
         )
-        moves: list[Move] = []
-        if kind is MachineKind.S:
-            if stack and stack[-1] == nn:
-                moves.append(Move.OUTPUT)
-            if i < len(p):
-                moves.append(Move.INPUT)
-        elif kind is MachineKind.PS:
-            if stack and stack[-1] == nn:
-                moves.append(Move.OUTPUT)
-            if i < len(p):
-                moves.append(Move.INPUT)
-            if pop:
-                moves.append(Move.FLUSH_POP)
-        elif kind is MachineKind.PQS:
-            if stack and stack[-1] == nn:
-                moves.append(Move.OUTPUT)
-            if i < len(p):
-                moves.append(Move.INPUT)
-            if pop:
-                moves.append(Move.FLUSH_POP)
-            if queue:
-                moves.append(Move.DEQUEUE)
-        elif kind is MachineKind.SP:
-            if pop and self._pop_is_next_run(pop, nn):
-                moves.append(Move.FLUSH_OUTPUT)
-            if i < len(p):
-                moves.append(Move.INPUT)
-            if stack:
-                moves.append(Move.PUSH_ONE)
-        elif kind is MachineKind.SQP:
-            if pop and self._pop_is_next_run(pop, nn):
-                moves.append(Move.FLUSH_OUTPUT)
-            if i < len(p):
-                moves.append(Move.INPUT)
-            if stack:
-                moves.append(Move.PUSH_ONE)
-            if queue:
-                moves.append(Move.DEQUEUE)
-        elif kind is MachineKind.DI:
-            if stack and stack[-1] == nn:
-                moves.append(Move.OUTPUT)
-            if i < len(p) and (not pop or p[i] > pop[-1]):
-                moves.append(Move.INPUT)
-            if pop and (not stack or pop[-1] < stack[-1]):
-                moves.append(Move.PUSH_ONE)
-        return moves
-
-    @staticmethod
-    def _pop_is_next_run(pop: tuple[int, ...], nn: int) -> bool:
-        # Popping emits top to bottom; that must read nn, nn+1, ...
-        return all(pop[len(pop) - 1 - t] == nn + t for t in range(len(pop)))
+        pop_last = kind in (MachineKind.SP, MachineKind.SQP)
+        out: list[tuple[Move, MachineState]] = []
+        if pop_last:
+            # Popping emits top to bottom; that must read nn, nn+1, ...
+            if pop and all(pop[-1 - t] == nn + t for t in range(len(pop))):
+                out.append((Move.FLUSH_OUTPUT, MachineState(i, (), queue, stack, nn + len(pop))))
+        elif stack and stack[-1] == nn:
+            out.append((Move.OUTPUT, MachineState(i, pop, queue, stack[:-1], nn + 1)))
+        if i < len(p):
+            # S, SP and SQP read onto their stack, the others onto `pop`.
+            x = p[i]
+            if pop_last or kind is MachineKind.S:
+                out.append((Move.INPUT, MachineState(i + 1, pop, queue, stack + (x,), nn)))
+            elif kind is not MachineKind.DI or not pop or x > pop[-1]:
+                out.append((Move.INPUT, MachineState(i + 1, pop + (x,), queue, stack, nn)))
+        if kind is MachineKind.PS and pop:
+            out.append((Move.FLUSH_POP, MachineState(i, (), queue, stack + pop[::-1], nn)))
+        elif kind is MachineKind.PQS and pop:
+            out.append((Move.FLUSH_POP, MachineState(i, (), queue + pop[::-1], stack, nn)))
+        elif kind is MachineKind.SP and stack:
+            out.append((Move.PUSH_ONE, MachineState(i, pop + stack[-1:], queue, stack[:-1], nn)))
+        elif kind is MachineKind.SQP and stack:
+            out.append((Move.PUSH_ONE, MachineState(i, pop, queue + stack[-1:], stack[:-1], nn)))
+        elif kind is MachineKind.DI and pop and (not stack or pop[-1] < stack[-1]):
+            out.append((Move.PUSH_ONE, MachineState(i, pop[:-1], queue, stack + pop[-1:], nn)))
+        if kind is MachineKind.PQS and queue:
+            out.append((Move.DEQUEUE, MachineState(i, pop, queue[1:], stack + queue[:1], nn)))
+        elif kind is MachineKind.SQP and queue:
+            out.append((Move.DEQUEUE, MachineState(i, pop + queue[:1], queue[1:], stack, nn)))
+        return out
 
     def apply_move(self, state: MachineState, move: Move) -> MachineState:
-        if move not in self.legal_moves(state):
-            raise IllegalMoveError(move, state)
-        kind = self.kind
-        p = self.perm.values
-        i, pop, queue, stack, nn = (
-            state.input_pos, state.pop, state.queue, state.stack, state.next_needed,
-        )
-        if move is Move.INPUT:
-            x = p[i]
-            if kind in (MachineKind.PS, MachineKind.PQS, MachineKind.DI):
-                return MachineState(i + 1, pop + (x,), queue, stack, nn)
-            return MachineState(i + 1, pop, queue, stack + (x,), nn)
-        if move is Move.FLUSH_POP:
-            chunk = pop[::-1]  # popped top first
-            if kind is MachineKind.PQS:
-                return MachineState(i, (), queue + chunk, stack, nn)
-            return MachineState(i, (), queue, stack + chunk, nn)
-        if move is Move.PUSH_ONE:
-            x = stack[-1] if kind in (MachineKind.SP, MachineKind.SQP) else pop[-1]
-            if kind is MachineKind.SP:
-                return MachineState(i, pop + (x,), queue, stack[:-1], nn)
-            if kind is MachineKind.SQP:
-                return MachineState(i, pop, queue + (x,), stack[:-1], nn)
-            return MachineState(i, pop[:-1], queue, stack + (x,), nn)  # DI
-        if move is Move.DEQUEUE:
-            x = queue[0]
-            if kind is MachineKind.PQS:
-                return MachineState(i, pop, queue[1:], stack + (x,), nn)
-            return MachineState(i, pop + (x,), queue[1:], stack, nn)  # SQP
-        if move is Move.OUTPUT:
-            return MachineState(i, pop, queue, stack[:-1], nn + 1)
-        if move is Move.FLUSH_OUTPUT:
-            return MachineState(i, (), queue, stack, nn + len(pop))
+        """The state `move` leads to; IllegalMoveError if it is not legal."""
+        for offered, nxt in self.successors(state):
+            if offered is move:
+                return nxt
         raise IllegalMoveError(move, state)
 
 
@@ -268,8 +220,9 @@ class Machine:
 #      after x and before lo, so it lands on x, which still waits for lo.
 #   B. x > lo and x > cap, cap the least stack value above lo: x lands
 #      above cap, which still waits for lo.
-# `is_sortable_unpruned` explores the raw move graph and is compared
-# against these searches by the test suite.
+# `is_sortable_unpruned` explores the raw move graph, edge by edge from
+# `Machine.successors`, and is compared against these searches by the
+# test suite.
 #
 # Witnesses are recorded on the way back up.  A search appends to `rec`
 # only once the child a move leads to has returned True: that move, then
@@ -608,17 +561,17 @@ def replay(kind: MachineKind, p: Permutation, moves: Iterable[Move]) -> Permutat
 
 
 def is_sortable_unpruned(kind: MachineKind, p: Permutation) -> bool:
-    """Exhaustive search over the raw move graph (reference implementation)."""
+    """Exhaustive search over the raw move graph of `Machine.successors` (the reference)."""
     machine = Machine(kind, p)
     start = machine.initial_state()
+    done = len(p) + 1
     seen = {start}
     todo = [start]
     while todo:
         state = todo.pop()
-        if machine.is_sorted(state):
+        if state.next_needed == done:
             return True
-        for move in machine.legal_moves(state):
-            nxt = machine.apply_move(state, move)
+        for _, nxt in machine.successors(state):
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)

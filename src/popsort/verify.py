@@ -17,7 +17,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Any, Callable, Iterable, NamedTuple
 
 from . import machines, series
@@ -216,9 +216,10 @@ def _chk_pqs_division(bound: int):
 
 @_check("pqs-division-equals-local-reversals", fast=5, full=8)
 def _chk_local_reversals(bound: int):
+    # The 231-avoiders are the single-stack class (entry
+    # `single-stack-sorts-iff-avoids-231`); its forced search is linear.
     pats = DIVIDED_OBSTRUCTIONS[MachineKind.PQS]
-    pat = parse("231")
-    stack_sortable = lambda q: not contains(pat, q)
+    stack_sortable = partial(machines.is_sortable, MachineKind.S)
     for p in _perms_upto(bound):
         via_division = exists_division_avoiding(p, pats) is not None
         via_reversal = reachable_by_local_reversals(p, stack_sortable)

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -26,8 +25,8 @@ from popsort.perms import (
     contains,
     identity,
     parse,
-    pattern_of,
 )
+from popsort.verify import naive_div_contains
 
 PS_PATTERNS = DIVIDED_OBSTRUCTIONS[MachineKind.PS]
 PQS_PATTERNS = DIVIDED_OBSTRUCTIONS[MachineKind.PQS]
@@ -41,26 +40,6 @@ PATTERN_SETS = {
 def first_avoiding_division(p, patterns):
     """Reference: the first division in all_divisions order avoiding every pattern."""
     return next((d for d in all_divisions(p) if div_avoids(d, patterns)), None)
-
-
-def naive_div_contains(pattern, host):
-    """Oracle: every subsequence, every block bookkeeping done from scratch."""
-    pv, hv = pattern.base.values, host.base.values
-    if not pv:
-        return True
-    pb, hb = pattern.block_ids(), host.block_ids()
-    for idx in itertools.combinations(range(len(hv)), len(pv)):
-        if pattern_of([hv[i] for i in idx]) != pv:
-            continue
-        assignment = {}
-        ok = True
-        for j, i in enumerate(idx):
-            if assignment.setdefault(pb[j], hb[i]) != hb[i]:
-                ok = False
-                break
-        if ok and len(set(assignment.values())) == len(assignment):
-            return True
-    return False
 
 
 class TestDividedPermutation:
@@ -248,13 +227,6 @@ class TestLocalReversals:
 
 
 class TestMachineCharacterizations:
-    def test_ps_division_matches_simulator_small(self):
-        for n in range(0, 7):
-            for p in all_perms(n):
-                assert (
-                    exists_division_avoiding(p, PS_PATTERNS) is not None
-                ) == is_sortable(MachineKind.PS, p)
-
     def test_pqs_division_matches_simulator_small(self):
         for n in range(0, 7):
             for p in all_perms(n):
