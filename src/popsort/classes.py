@@ -15,7 +15,12 @@ site s can only have a child at site j when the matching site of v,
 j if j <= s else j - 1, is active: deleting k + 1 from that child leaves v
 with the maximum at the matching site.  So each member is made once, by
 an oracle call on one of the |active(v)| + 1 candidates of its parent,
-and the walk keeps no set of members.  Predicate-backed classes are not
+and the walk keeps no set of members.  The walk's oracle takes value
+tuples (`ClassSpec.member_values`): a candidate is a bijection by
+construction, so machine specs hand it straight to the kind's search
+(`machines.decider`) and basis specs to `avoids_values`, and no
+Permutation is built per candidate; predicate specs wrap the tuple in a
+Permutation for their predicate.  Predicate-backed classes are not
 assumed closed and are counted by a scan of all n! permutations.
 """
 from __future__ import annotations
@@ -32,7 +37,8 @@ from .perms import (
     EMPTY,
     Permutation,
     all_perms,
-    avoids,
+    avoids,  # unused here, but perfbench's tracer wraps classes.avoids
+    avoids_values,
     is_simple_values,
     substitution_decompose_values,
 )
@@ -45,12 +51,18 @@ class MalformedOracleError(RuntimeError):
 class ClassSpec:
     """A named membership oracle with a canonical text and fingerprint.
 
-    `descriptor` is a picklable recipe for rebuilding the spec inside
-    worker processes; predicate-backed specs have none and always scan
-    serially.
+    `member` takes a Permutation and is the public oracle.  `member_values`
+    decides the same membership on a value tuple that the caller vouches
+    is a bijection on 1..len, as the walks' candidates are by construction.
+    Machine and basis specs have one oracle, on value tuples, and `member`
+    hands it `p.values`; predicate specs have one on Permutations, and
+    `member_values` wraps the tuple and asks `member`.  `descriptor` is a
+    picklable recipe for rebuilding the spec inside worker processes;
+    predicate-backed specs have none and always scan serially.
     """
 
-    __slots__ = ("name", "canonical_text", "fingerprint", "descriptor", "_member")
+    __slots__ = ("name", "canonical_text", "fingerprint", "descriptor", "_member",
+                 "member_values")
 
     def __init__(
         self,
@@ -58,12 +70,14 @@ class ClassSpec:
         canonical_text: str,
         member: Callable[[Permutation], bool],
         descriptor: tuple | None = None,
+        member_values: Callable[[tuple[int, ...]], bool] | None = None,
     ):
         self.name = name
         self.canonical_text = canonical_text
         self.fingerprint = hashlib.sha256(canonical_text.encode()).hexdigest()[:16]
         self.descriptor = descriptor
         self._member = member
+        self.member_values = member_values or (lambda vals: member(Permutation(vals)))
 
     def member(self, p: Permutation) -> bool:
         return self._member(p)
@@ -75,20 +89,28 @@ class ClassSpec:
     def from_basis(patterns: Iterable[Permutation], name: str | None = None) -> "ClassSpec":
         pats = tuple(sorted(set(patterns), key=lambda p: (len(p), p.values)))
         text = "basis:" + ";".join(str(p) for p in pats)
+        pattern_values = tuple(p.values for p in pats)
+
+        def member_values(vals: tuple[int, ...]) -> bool:
+            return avoids_values(vals, pattern_values)
+
         return ClassSpec(
             name or f"Av({','.join(str(p).replace(',', '') for p in pats)})",
             text,
-            lambda p: avoids(p, pats),
-            descriptor=("basis", tuple(p.values for p in pats)),
+            lambda p: member_values(p.values),
+            descriptor=("basis", pattern_values),
+            member_values=member_values,
         )
 
     @staticmethod
     def from_machine(kind: MachineKind) -> "ClassSpec":
+        member_values = machines.decider(kind)
         return ClassSpec(
             f"{kind.name}-sortable",
             f"machine:{kind.value}",
-            lambda p: machines.is_sortable(kind, p),
+            lambda p: member_values(p.values),
             descriptor=("machine", kind.value),
+            member_values=member_values,
         )
 
     @staticmethod
@@ -106,7 +128,7 @@ def _rebuild_spec(descriptor: tuple) -> ClassSpec:
 
 
 def _walk(
-    member: Callable[[Permutation], bool],
+    member_values: Callable[[tuple[int, ...]], bool],
     max_len: int,
     vals: tuple[int, ...] = (),
     sites: int = 1,
@@ -117,8 +139,10 @@ def _walk(
     Yields (values, candidates) for each member, where bit s of the
     candidate mask marks site s as one the member's children may use;
     `sites` is that mask for vals itself.  Candidates the oracle rejects
-    are appended to `rejected` when it is given.  The oracle must describe
-    a downward-closed class.
+    are appended to `rejected` when it is given.  The oracle takes value
+    tuples (`ClassSpec.member_values`): every candidate is a member with
+    k + 1 inserted, a bijection by construction, so none is validated.  It
+    must describe a downward-closed class.
     """
     stack = [(vals, sites)] if len(vals) < max_len else []
     while stack:
@@ -130,7 +154,7 @@ def _walk(
         for s in range(k + 1):
             if cand >> s & 1:
                 c = v[:s] + top + v[s:]
-                if member(Permutation(c)):
+                if member_values(c):
                     active |= 1 << s
                     children.append((s, c))
                 elif rejected is not None:
@@ -146,11 +170,14 @@ def _walk(
 
 
 def _count_walk(
-    member: Callable[[Permutation], bool], max_n: int, vals: tuple[int, ...] = (), sites: int = 1
+    member_values: Callable[[tuple[int, ...]], bool],
+    max_n: int,
+    vals: tuple[int, ...] = (),
+    sites: int = 1,
 ) -> list[int]:
     """Members below vals by length: entry k counts those of length k."""
     counts = [0] * (max_n + 1)
-    for v, _ in _walk(member, max_n, vals, sites):
+    for v, _ in _walk(member_values, max_n, vals, sites):
         counts[len(v)] += 1
     return counts
 
@@ -166,7 +193,7 @@ _PARTITION_LEN = 4
 
 def _count_subtree(args: tuple) -> list[int]:
     descriptor, max_n, vals, sites = args
-    return _count_walk(_rebuild_spec(descriptor).member, max_n, vals, sites)
+    return _count_walk(_rebuild_spec(descriptor).member_values, max_n, vals, sites)
 
 
 def count_by_length(spec: ClassSpec, max_n: int, jobs: int = 1) -> list[int]:
@@ -187,7 +214,7 @@ def count_by_length(spec: ClassSpec, max_n: int, jobs: int = 1) -> list[int]:
     if jobs > 1 and max_n > _PARTITION_LEN:
         counts = [0] * (max_n + 1)
         tasks = []
-        for v, sites in _walk(spec.member, _PARTITION_LEN):
+        for v, sites in _walk(spec.member_values, _PARTITION_LEN):
             counts[len(v)] += 1
             if len(v) == _PARTITION_LEN:
                 tasks.append((spec.descriptor, max_n, v, sites))
@@ -195,7 +222,7 @@ def count_by_length(spec: ClassSpec, max_n: int, jobs: int = 1) -> list[int]:
             for sub in pool.map(_count_subtree, tasks):
                 counts = [a + b for a, b in zip(counts, sub)]
         return counts[1:]
-    return _count_walk(spec.member, max_n)[1:]
+    return _count_walk(spec.member_values, max_n)[1:]
 
 
 def count_members(spec: ClassSpec, n: int, jobs: int = 1) -> int:
@@ -230,17 +257,17 @@ def compute_basis(spec: ClassSpec, max_len: int) -> list[Permutation]:
     """
     if max_len < 1:
         return []
-    if not spec.member(Permutation((1,))):
+    if not spec.member_values((1,)):
         raise MalformedOracleError(
             f"{spec.name}: oracle rejects the singleton permutation; "
             "basis mining expects a class containing 1"
         )
     rejected: list[tuple[int, ...]] = []
-    for _ in _walk(spec.member, max_len, (1,), 0b11, rejected):
+    for _ in _walk(spec.member_values, max_len, (1,), 0b11, rejected):
         pass
     rejected.sort(key=_by_length)
     # Rejected candidates share deletions; each is put to the oracle once.
-    is_member = cache(lambda vals: spec.member(Permutation(vals)))
+    is_member = cache(spec.member_values)
     return [
         Permutation(vals)
         for vals in rejected
@@ -307,7 +334,7 @@ def simples_in_class(basis: Iterable[Permutation], max_len: int) -> list[Permuta
     sorted by (length, values).
     """
     spec = ClassSpec.from_basis(basis)
-    simples = [v for v, _ in _walk(spec.member, max_len) if is_simple_values(v)]
+    simples = [v for v, _ in _walk(spec.member_values, max_len) if is_simple_values(v)]
     simples.sort(key=_by_length)
     return [Permutation(v) for v in simples]
 

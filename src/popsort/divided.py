@@ -228,17 +228,19 @@ def blockwise_reverse(d: DividedPermutation) -> Permutation:
 
 
 def reachable_by_local_reversals(
-    p: Permutation, membership: Callable[[Permutation], bool]
+    p: Permutation, membership: Callable[[tuple[int, ...]], bool]
 ) -> bool:
     """True iff some division of p blockwise-reverses into the given set.
 
     Tries the divisions in all_divisions order, reversing the blocks of
-    each divider mask straight from p's values.
+    each divider mask straight from p's values.  `membership` receives each
+    reversal as a value tuple, the values of `blockwise_reverse` of that
+    division; it is a bijection because p is, and is not validated again.
     """
     v = p.values
     n = len(v)
     if n == 0:
-        return membership(p)
+        return membership(v)
     for mask in range(1 << (n - 1)):
         out: list[int] = []
         start = 0
@@ -247,6 +249,6 @@ def reachable_by_local_reversals(
                 out += v[start:t][::-1]
                 start = t
         out += v[start:][::-1]
-        if membership(Permutation(tuple(out))):
+        if membership(tuple(out)):
             return True
     return False

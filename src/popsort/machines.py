@@ -20,13 +20,14 @@ leads to.  `apply_move` checks one step against it, `replay` runs a move
 sequence through it, and `is_sortable_unpruned` is the slow reference
 search over the graph it spans, used to validate the pruning.
 `is_sortable`/`sorting_witness` run a pruned depth-first search over
-configurations.
+configurations; `decider` hands out the same search as a decision on value
+tuples, for callers that build candidates by construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .divided import DividedPattern, exists_division_avoiding, parse_divided
 from .perms import Permutation, avoids, parse
@@ -129,8 +130,9 @@ class Machine:
     def initial_state(self) -> MachineState:
         return MachineState()
 
-    def successors(self, state: MachineState) -> list[tuple[Move, MachineState]]:
-        """Each move legal in `state` with the state it leads to.
+    def successors(self, state: MachineState) -> Iterator[tuple[Move, MachineState]]:
+        """Each move legal in `state` with the state it leads to, generated
+        one at a time so that `apply_move` stops at the one it looks for.
 
         The order is fixed: the output-type move, INPUT, FLUSH_POP or
         PUSH_ONE, then DEQUEUE.  Flushing an empty pop stack is never
@@ -144,35 +146,33 @@ class Machine:
             state.input_pos, state.pop, state.queue, state.stack, state.next_needed,
         )
         pop_last = kind in (MachineKind.SP, MachineKind.SQP)
-        out: list[tuple[Move, MachineState]] = []
         if pop_last:
             # Popping emits top to bottom; that must read nn, nn+1, ...
             if pop and all(pop[-1 - t] == nn + t for t in range(len(pop))):
-                out.append((Move.FLUSH_OUTPUT, MachineState(i, (), queue, stack, nn + len(pop))))
+                yield Move.FLUSH_OUTPUT, MachineState(i, (), queue, stack, nn + len(pop))
         elif stack and stack[-1] == nn:
-            out.append((Move.OUTPUT, MachineState(i, pop, queue, stack[:-1], nn + 1)))
+            yield Move.OUTPUT, MachineState(i, pop, queue, stack[:-1], nn + 1)
         if i < len(p):
             # S, SP and SQP read onto their stack, the others onto `pop`.
             x = p[i]
             if pop_last or kind is MachineKind.S:
-                out.append((Move.INPUT, MachineState(i + 1, pop, queue, stack + (x,), nn)))
+                yield Move.INPUT, MachineState(i + 1, pop, queue, stack + (x,), nn)
             elif kind is not MachineKind.DI or not pop or x > pop[-1]:
-                out.append((Move.INPUT, MachineState(i + 1, pop + (x,), queue, stack, nn)))
+                yield Move.INPUT, MachineState(i + 1, pop + (x,), queue, stack, nn)
         if kind is MachineKind.PS and pop:
-            out.append((Move.FLUSH_POP, MachineState(i, (), queue, stack + pop[::-1], nn)))
+            yield Move.FLUSH_POP, MachineState(i, (), queue, stack + pop[::-1], nn)
         elif kind is MachineKind.PQS and pop:
-            out.append((Move.FLUSH_POP, MachineState(i, (), queue + pop[::-1], stack, nn)))
+            yield Move.FLUSH_POP, MachineState(i, (), queue + pop[::-1], stack, nn)
         elif kind is MachineKind.SP and stack:
-            out.append((Move.PUSH_ONE, MachineState(i, pop + stack[-1:], queue, stack[:-1], nn)))
+            yield Move.PUSH_ONE, MachineState(i, pop + stack[-1:], queue, stack[:-1], nn)
         elif kind is MachineKind.SQP and stack:
-            out.append((Move.PUSH_ONE, MachineState(i, pop, queue + stack[-1:], stack[:-1], nn)))
+            yield Move.PUSH_ONE, MachineState(i, pop, queue + stack[-1:], stack[:-1], nn)
         elif kind is MachineKind.DI and pop and (not stack or pop[-1] < stack[-1]):
-            out.append((Move.PUSH_ONE, MachineState(i, pop[:-1], queue, stack + pop[-1:], nn)))
+            yield Move.PUSH_ONE, MachineState(i, pop[:-1], queue, stack + pop[-1:], nn)
         if kind is MachineKind.PQS and queue:
-            out.append((Move.DEQUEUE, MachineState(i, pop, queue[1:], stack + queue[:1], nn)))
+            yield Move.DEQUEUE, MachineState(i, pop, queue[1:], stack + queue[:1], nn)
         elif kind is MachineKind.SQP and queue:
-            out.append((Move.DEQUEUE, MachineState(i, pop + queue[:1], queue[1:], stack, nn)))
-        return out
+            yield Move.DEQUEUE, MachineState(i, pop + queue[:1], queue[1:], stack, nn)
 
     def apply_move(self, state: MachineState, move: Move) -> MachineState:
         """The state `move` leads to; IllegalMoveError if it is not legal."""
@@ -231,8 +231,8 @@ class Machine:
 # failed branch leaves nothing to roll back.  PS and DI record the outputs
 # a state forced on entry; in SP and SQP the push or dequeue that completed
 # the run records the child's flush (it flushes iff the moved value is the
-# next needed one); PQS records its whole drain reversed.  With `rec` None
-# (a decision) no list is touched.
+# next needed one); PQS records its whole drain reversed.  With `rec` None,
+# its default (a decision), no list is touched.
 #
 # Each recursive `dfs` refers to itself, a reference cycle that would keep
 # its `failed` memo alive until the cyclic garbage collector runs; the
@@ -240,7 +240,7 @@ class Machine:
 # ---------------------------------------------------------------------------
 
 
-def _solve_s(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
+def _solve_s(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     n = len(p)
     stack: list[int] = []
     nn = 1
@@ -263,7 +263,7 @@ def _solve_s(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
     return True
 
 
-def _solve_ps(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
+def _solve_ps(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     n = len(p)
     failed: set[tuple] = set()
 
@@ -299,7 +299,7 @@ def _solve_ps(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         del dfs
 
 
-def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
+def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     # The stack only receives entries from the queue front, so while the
     # queue is nonempty nothing else can touch the stack: a legal dequeue
     # commutes with any input/flush and may be taken at once, and a blocked
@@ -392,7 +392,7 @@ def _input_ceiling(stack: tuple[int, ...], ceiling: int, x: int, b: int) -> int:
     return ceiling
 
 
-def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
+def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     n = len(p)
     failed: set[tuple] = set()
 
@@ -430,7 +430,7 @@ def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         del dfs
 
 
-def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
+def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     n = len(p)
     failed: set[tuple] = set()
 
@@ -479,7 +479,7 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
         del dfs
 
 
-def _solve_di(p: tuple[int, ...], rec: Optional[list[Move]]) -> bool:
+def _solve_di(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     n = len(p)
     failed: set[tuple] = set()
 
@@ -524,9 +524,16 @@ _SOLVERS = {
 }
 
 
+def decider(kind: MachineKind) -> Callable[[tuple[int, ...]], bool]:
+    """The kind's search as a decision on value tuples: `decider(kind)(v)`
+    is `is_sortable(kind, Permutation(v))`, with no Permutation built.  The
+    caller vouches that v is a bijection on 1..len(v)."""
+    return _SOLVERS[kind]
+
+
 def is_sortable(kind: MachineKind, p: Permutation) -> bool:
     """True iff some move sequence of the machine outputs 1, ..., n."""
-    return _SOLVERS[kind](p.values, None)
+    return _SOLVERS[kind](p.values)
 
 
 def sorting_witness(kind: MachineKind, p: Permutation) -> Optional[list[Move]]:

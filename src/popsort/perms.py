@@ -199,8 +199,12 @@ def contains_values(pv: tuple[int, ...], hv: tuple[int, ...]) -> bool:
 
 def avoids(host: Permutation, patterns: Iterable[Permutation]) -> bool:
     """True iff host contains none of the given patterns."""
-    hv = host.values
-    return not any(contains_values(p.values, hv) for p in patterns)
+    return avoids_values(host.values, (p.values for p in patterns))
+
+
+def avoids_values(hv: tuple[int, ...], pattern_values: Iterable[tuple[int, ...]]) -> bool:
+    """`avoids` on raw value tuples."""
+    return not any(contains_values(pv, hv) for pv in pattern_values)
 
 
 def count_occurrences(pattern: Permutation, host: Permutation) -> int:

@@ -16,11 +16,12 @@ from popsort.classes import (
     structural_member,
     wilf_table,
 )
-from popsort.machines import MachineKind, PS_BASIS, is_sortable
+from popsort.machines import MachineKind, PS_BASIS, is_sortable, is_sortable_unpruned
 from popsort.perms import (
     Permutation,
     all_perms,
     avoids,
+    count_occurrences,
     identity,
     inflate,
     one_entry_deletions,
@@ -111,8 +112,8 @@ class TestCountMembers:
     def test_one_walk_counts_every_length(self):
         calls = []
         sp = ClassSpec.from_machine(MachineKind.SP)
-        spec = ClassSpec(sp.name, sp.canonical_text, lambda p: calls.append(p) or sp.member(p),
-                         sp.descriptor)
+        spec = ClassSpec(sp.name, sp.canonical_text, sp.member, sp.descriptor,
+                         lambda vals: calls.append(vals) or sp.member_values(vals))
         assert count_by_length(spec, 7) == [count_members(sp, n) for n in range(1, 8)]
         assert len(calls) == 5511  # one count_members call per n makes 6583
 
@@ -161,6 +162,58 @@ class TestWalkAgainstReferences:
     def test_class_without_singleton_counts_zero(self):
         spec = ClassSpec.from_basis([parse("1")])
         assert [count_members(spec, n) for n in range(0, 4)] == [1, 0, 0, 0]
+
+
+WALKED_SPECS = [ClassSpec.from_machine(kind) for kind in MachineKind] + [
+    ClassSpec.from_basis([parse(t) for t in texts]) for texts in WALKED_BASES
+]
+
+
+class TestValuesOracle:
+    """`member_values` is what the walks call, on tuples they never validate."""
+
+    @pytest.mark.parametrize("spec", WALKED_SPECS, ids=str)
+    def test_walk_hands_over_bijections(self, spec):
+        handed = []
+        spy = ClassSpec(spec.name, spec.canonical_text, spec.member, spec.descriptor,
+                        lambda vals: handed.append(vals) or spec.member_values(vals))
+        count_by_length(spy, 7)
+        compute_basis(spy, 7)
+        assert handed
+        for vals in handed:
+            assert type(vals) is tuple
+            assert sorted(vals) == list(range(1, len(vals) + 1)), vals
+
+    @pytest.mark.parametrize("spec", WALKED_SPECS, ids=str)
+    def test_agrees_with_reference(self, spec):
+        # `member` is `member_values` on p.values, so both are checked
+        # against a route sharing no code with them: the unpruned move graph
+        # for machines (to length 5; the unpruned SQP search alone takes
+        # seconds at length 6) and occurrence counting over index subsets
+        # for bases.
+        tag, payload = spec.descriptor
+        if tag == "machine":
+            kind = MachineKind.from_name(payload)
+            cases = [(p, is_sortable_unpruned(kind, p)) for n in range(6) for p in all_perms(n)]
+        else:
+            pats = [Permutation(pv) for pv in payload]
+            cases = [(p, not any(count_occurrences(q, p) for q in pats))
+                     for n in range(8) for p in all_perms(n)]
+        for p, expected in cases:
+            assert spec.member(p) == spec.member_values(p.values) == expected, p
+
+    @pytest.mark.parametrize("spec", WALKED_SPECS, ids=str)
+    def test_count_builds_no_permutation(self, spec, monkeypatch):
+        built = []
+        validate = Permutation.__post_init__
+
+        def spy(p):
+            built.append(p.values)
+            validate(p)
+
+        monkeypatch.setattr(Permutation, "__post_init__", spy)
+        count_by_length(spec, 7)
+        assert built == []
 
 
 @st.composite

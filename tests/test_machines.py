@@ -147,7 +147,7 @@ class TestMoveGraph:
             todo = [start]
             while todo:
                 state = todo.pop()
-                edges = machine.successors(state)
+                edges = list(machine.successors(state))
                 for move, nxt in edges:
                     h.update(f"{p}|{state}|{move.name}|{nxt}\n".encode())
                     assert machine.apply_move(state, move) == nxt
