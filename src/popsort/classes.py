@@ -1,42 +1,41 @@
 """Class-level computations: counting, basis mining, Wilf tables, simples.
 
-A `ClassSpec` wraps a membership oracle (a finite basis, a machine kind,
-or an arbitrary named predicate) together with a canonical text and a
-stable fingerprint used as a cache key.
+A `ClassSpec` is one membership oracle on value tuples (`member_values`)
+with a canonical text, a stable fingerprint used as a cache key, and a
+`closed` flag.  Machine specs use the kind's search (`machines.decider`)
+and basis specs `avoids_values` over their pattern tuples; both oracles
+are module-level functions or partials of them, so they pickle.
+Predicate specs wrap the tuple in a Permutation for their predicate.
 
-Machine and basis classes are downward closed: deleting an entry of a
-member leaves a member.  They are counted and mined by a depth-first walk
-of the generating tree (West, 1995), in which a member of length k + 1
-is the child of the member of length k left by deleting its maximum.
-Inserting k + 1 into a member v of length k at site s (0 <= s <= k, the
-number of entries before it) gives a child when the oracle accepts it;
-the accepted sites are the active sites of v.  A member c made from v at
-site s can only have a child at site j when the matching site of v,
-j if j <= s else j - 1, is active: deleting k + 1 from that child leaves v
-with the maximum at the matching site.  So each member is made once, by
-an oracle call on one of the |active(v)| + 1 candidates of its parent,
-and the walk keeps no set of members.  The walk's oracle takes value
-tuples (`ClassSpec.member_values`): a candidate is a bijection by
-construction, so machine specs hand it straight to the kind's search
-(`machines.decider`) and basis specs to `avoids_values`, and no
-Permutation is built per candidate; predicate specs wrap the tuple in a
-Permutation for their predicate.  Predicate-backed classes are not
-assumed closed and are counted by a scan of all n! permutations.
+Closed classes (machine and basis classes) are downward closed: deleting
+an entry of a member leaves a member.  They are counted and mined by a
+depth-first walk of the generating tree (West, 1995), in which a member
+of length k + 1 is the child of the member of length k left by deleting
+its maximum.  Inserting k + 1 into a member v of length k at site s
+(0 <= s <= k, the number of entries before it) gives a child when the
+oracle accepts it; the accepted sites are the active sites of v.  A
+member c made from v at site s can only have a child at site j when the
+matching site of v, j if j <= s else j - 1, is active: deleting k + 1
+from that child leaves v with the maximum at the matching site.  So each
+member is made once, by an oracle call on one of the |active(v)| + 1
+candidates of its parent, and the walk keeps no set of members.  A
+candidate is a bijection by construction, so the oracle gets it as it is
+and no Permutation is built per candidate.  Predicate-backed classes are
+not assumed closed and are counted by a scan of all n! permutations.
 """
 from __future__ import annotations
 
 import hashlib
 import multiprocessing
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
+from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import machines
 from .machines import MachineKind
 from .perms import (
-    EMPTY,
     Permutation,
-    all_perms,
     avoids,  # unused here, but perfbench's tracer wraps classes.avoids
     avoids_values,
     is_simple_values,
@@ -51,36 +50,32 @@ class MalformedOracleError(RuntimeError):
 class ClassSpec:
     """A named membership oracle with a canonical text and fingerprint.
 
-    `member` takes a Permutation and is the public oracle.  `member_values`
-    decides the same membership on a value tuple that the caller vouches
-    is a bijection on 1..len, as the walks' candidates are by construction.
-    Machine and basis specs have one oracle, on value tuples, and `member`
-    hands it `p.values`; predicate specs have one on Permutations, and
-    `member_values` wraps the tuple and asks `member`.  `descriptor` is a
-    picklable recipe for rebuilding the spec inside worker processes;
-    predicate-backed specs have none and always scan serially.
+    `member_values` is the oracle: it decides membership on a value tuple
+    that the caller vouches is a bijection on 1..len, as the walks'
+    candidates are by construction.  `member(p)` is that oracle on
+    `p.values`.  A `closed` spec describes a downward-closed class and is
+    walked; its oracle pickles, so `count_by_length` hands it to worker
+    processes as it is.  Predicate-backed specs are not closed and are
+    scanned serially.
     """
 
-    __slots__ = ("name", "canonical_text", "fingerprint", "descriptor", "_member",
-                 "member_values")
+    __slots__ = ("name", "canonical_text", "fingerprint", "member_values", "closed")
 
     def __init__(
         self,
         name: str,
         canonical_text: str,
-        member: Callable[[Permutation], bool],
-        descriptor: tuple | None = None,
-        member_values: Callable[[tuple[int, ...]], bool] | None = None,
+        member_values: Callable[[tuple[int, ...]], bool],
+        closed: bool = False,
     ):
         self.name = name
         self.canonical_text = canonical_text
         self.fingerprint = hashlib.sha256(canonical_text.encode()).hexdigest()[:16]
-        self.descriptor = descriptor
-        self._member = member
-        self.member_values = member_values or (lambda vals: member(Permutation(vals)))
+        self.member_values = member_values
+        self.closed = closed
 
     def member(self, p: Permutation) -> bool:
-        return self._member(p)
+        return self.member_values(p.values)
 
     def __repr__(self) -> str:
         return f"ClassSpec({self.canonical_text!r})"
@@ -88,43 +83,25 @@ class ClassSpec:
     @staticmethod
     def from_basis(patterns: Iterable[Permutation], name: str | None = None) -> "ClassSpec":
         pats = tuple(sorted(set(patterns), key=lambda p: (len(p), p.values)))
-        text = "basis:" + ";".join(str(p) for p in pats)
-        pattern_values = tuple(p.values for p in pats)
-
-        def member_values(vals: tuple[int, ...]) -> bool:
-            return avoids_values(vals, pattern_values)
-
         return ClassSpec(
             name or f"Av({','.join(str(p).replace(',', '') for p in pats)})",
-            text,
-            lambda p: member_values(p.values),
-            descriptor=("basis", pattern_values),
-            member_values=member_values,
+            "basis:" + ";".join(str(p) for p in pats),
+            partial(avoids_values, tuple(p.values for p in pats)),
+            closed=True,
         )
 
     @staticmethod
     def from_machine(kind: MachineKind) -> "ClassSpec":
-        member_values = machines.decider(kind)
         return ClassSpec(
             f"{kind.name}-sortable",
             f"machine:{kind.value}",
-            lambda p: member_values(p.values),
-            descriptor=("machine", kind.value),
-            member_values=member_values,
+            machines.decider(kind),
+            closed=True,
         )
 
     @staticmethod
     def from_predicate(name: str, member: Callable[[Permutation], bool]) -> "ClassSpec":
-        return ClassSpec(name, f"predicate:{name}", member)
-
-
-def _rebuild_spec(descriptor: tuple) -> ClassSpec:
-    tag, payload = descriptor
-    if tag == "machine":
-        return ClassSpec.from_machine(MachineKind.from_name(payload))
-    if tag == "basis":
-        return ClassSpec.from_basis(Permutation(vals) for vals in payload)
-    raise ValueError(f"unknown spec descriptor {descriptor!r}")
+        return ClassSpec(name, f"predicate:{name}", lambda vals: member(Permutation(vals)))
 
 
 def _walk(
@@ -183,7 +160,8 @@ def _count_walk(
 
 
 def _scan_count(spec: ClassSpec, n: int) -> int:
-    return sum(1 for p in all_perms(n) if spec.member(p))
+    member_values = spec.member_values
+    return sum(1 for vals in permutations(range(1, n + 1)) if member_values(vals))
 
 
 # With jobs > 1 the walk is split into the subtrees below the members of
@@ -191,25 +169,19 @@ def _scan_count(spec: ClassSpec, n: int) -> int:
 _PARTITION_LEN = 4
 
 
-def _count_subtree(args: tuple) -> list[int]:
-    descriptor, max_n, vals, sites = args
-    return _count_walk(_rebuild_spec(descriptor).member_values, max_n, vals, sites)
-
-
 def count_by_length(spec: ClassSpec, max_n: int, jobs: int = 1) -> list[int]:
     """Numbers of members of each length 1..max_n, from one walk.
 
-    Machine and basis specs (the ones with a descriptor) are downward
-    closed and are counted by walking the generating tree to length max_n
-    once.  With jobs > 1 and max_n > _PARTITION_LEN the walk is split into
-    the subtrees below the members of length _PARTITION_LEN; each worker
-    process returns its counts by length and the lists are summed in a
-    fixed order, so the result is identical for any job count.
-    Predicate-backed specs, which may not be closed and cannot cross a
-    process boundary, are counted by a serial scan of all n! permutations
-    of each length.
+    Closed specs (machine and basis specs) are counted by walking the
+    generating tree to length max_n once.  With jobs > 1 and
+    max_n > _PARTITION_LEN the walk is split into the subtrees below the
+    members of length _PARTITION_LEN; each worker process is handed the
+    spec's oracle and returns its counts by length, and the lists are
+    summed in a fixed order, so the result is identical for any job count.
+    Predicate-backed specs, which may not be closed, are counted by a
+    serial scan of all n! permutations of each length.
     """
-    if spec.descriptor is None:
+    if not spec.closed:
         return [_scan_count(spec, n) for n in range(1, max_n + 1)]
     if jobs > 1 and max_n > _PARTITION_LEN:
         counts = [0] * (max_n + 1)
@@ -217,9 +189,9 @@ def count_by_length(spec: ClassSpec, max_n: int, jobs: int = 1) -> list[int]:
         for v, sites in _walk(spec.member_values, _PARTITION_LEN):
             counts[len(v)] += 1
             if len(v) == _PARTITION_LEN:
-                tasks.append((spec.descriptor, max_n, v, sites))
+                tasks.append((spec.member_values, max_n, v, sites))
         with multiprocessing.Pool(jobs) as pool:
-            for sub in pool.map(_count_subtree, tasks):
+            for sub in pool.starmap(_count_walk, tasks):
                 counts = [a + b for a, b in zip(counts, sub)]
         return counts[1:]
     return _count_walk(spec.member_values, max_n)[1:]
@@ -229,13 +201,13 @@ def count_members(spec: ClassSpec, n: int, jobs: int = 1) -> int:
     """Number of length-n members.
 
     Walks the generating tree to length n as count_by_length does, or
-    scans the n! permutations of length n for a predicate-backed spec.
+    scans the n! permutations of length n for a spec that is not closed.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return 1 if spec.member(EMPTY) else 0
-    if spec.descriptor is None:
+        return 1 if spec.member_values(()) else 0
+    if not spec.closed:
         return _scan_count(spec, n)
     return count_by_length(spec, n, jobs)[-1]
 
@@ -298,23 +270,6 @@ class WilfTable:
     @property
     def all_equal(self) -> bool:
         return all(row.all_equal for row in self.rows)
-
-    def to_csv(self) -> str:
-        """One row per n: n, then one count column per spec."""
-        lines = [",".join(["n", *self.spec_names])]
-        for row in self.rows:
-            lines.append(",".join([str(row.n), *(str(c) for c in row.counts)]))
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "specs": list(self.spec_names),
-            "rows": [
-                {"n": row.n, "counts": list(row.counts), "all_equal": row.all_equal}
-                for row in self.rows
-            ],
-            "all_equal": self.all_equal,
-        }
 
 
 def wilf_table(specs: Sequence[ClassSpec], max_n: int, jobs: int = 1) -> WilfTable:

@@ -18,13 +18,13 @@ from typing import Sequence
 from . import antichain as antichain_mod
 from . import machines, series
 from .classes import ClassSpec, compute_basis, count_by_length
-from .machines import PQS_BASIS_CONJECTURED_COUNT, MachineKind
+from .machines import PQS_BASIS_CONJECTURE_LEN, PQS_BASIS_CONJECTURED_COUNT, MachineKind
 from .perms import ParseError, parse
 
 CACHE_FORMAT_VERSION = "1"
 
 ENUMERATE_MAX_LEN = 11
-BASIS_MAX_LEN = {"pqs": 9}
+BASIS_MAX_LEN = {"pqs": PQS_BASIS_CONJECTURE_LEN}
 BASIS_MAX_LEN_DEFAULT = 10
 SERIES_MAX_TERMS = 200
 # Longest permutation `sortable` accepts.  The searches recurse once per
@@ -270,12 +270,12 @@ def cmd_basis(args, out) -> int:
     elements = compute_basis(ClassSpec.from_machine(kind), args.max_len)
     if (
         kind is MachineKind.PQS
-        and args.max_len == 9
+        and args.max_len >= PQS_BASIS_CONJECTURE_LEN
         and len(elements) != PQS_BASIS_CONJECTURED_COUNT
     ):
         sys.stderr.write(
             f"CONJECTURE-MISMATCH: expected {PQS_BASIS_CONJECTURED_COUNT} minimal "
-            f"unsortable permutations up to length 9, found {len(elements)}\n"
+            f"unsortable permutations up to length {args.max_len}, found {len(elements)}\n"
         )
     doc = {
         "machine": kind.value,

@@ -591,10 +591,12 @@ def is_sortable_unpruned(kind: MachineKind, p: Permutation) -> bool:
 
 PS_BASIS: tuple[Permutation, ...] = (parse("2431"), parse("3142"), parse("3241"))
 
-# The PQS-sortable counts for n = 1..9, and the number of minimal
-# PQS-unsortable permutations the paper conjectures make up the whole basis.
+# The PQS-sortable counts for n = 1..9, the number of minimal
+# PQS-unsortable permutations the paper conjectures make up the whole basis,
+# and the length to which mining must reach for that count to apply.
 PQS_SEQUENCE = (1, 2, 6, 24, 120, 685, 4148, 25661, 159829)
 PQS_BASIS_CONJECTURED_COUNT = 108
+PQS_BASIS_CONJECTURE_LEN = 9
 
 DIVIDED_OBSTRUCTIONS: dict[MachineKind, tuple[DividedPattern, ...]] = {
     MachineKind.PS: tuple(parse_divided(t) for t in ("21", "2|13", "2|3|1")),

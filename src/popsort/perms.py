@@ -50,10 +50,6 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({self.values!r})"
 
-    def apply(self, i: int) -> int:
-        """Image of position i (1-based): pi(i)."""
-        return self.values[i - 1]
-
     def reverse(self) -> "Permutation":
         """pi^r(i) = pi(n+1-i)."""
         return Permutation(self.values[::-1])
@@ -199,11 +195,12 @@ def contains_values(pv: tuple[int, ...], hv: tuple[int, ...]) -> bool:
 
 def avoids(host: Permutation, patterns: Iterable[Permutation]) -> bool:
     """True iff host contains none of the given patterns."""
-    return avoids_values(host.values, (p.values for p in patterns))
+    return avoids_values((p.values for p in patterns), host.values)
 
 
-def avoids_values(hv: tuple[int, ...], pattern_values: Iterable[tuple[int, ...]]) -> bool:
-    """`avoids` on raw value tuples."""
+def avoids_values(pattern_values: Iterable[tuple[int, ...]], hv: tuple[int, ...]) -> bool:
+    """`avoids` on raw value tuples, patterns first so that
+    `partial(avoids_values, patterns)` is a picklable oracle."""
     return not any(contains_values(pv, hv) for pv in pattern_values)
 
 

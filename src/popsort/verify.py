@@ -31,7 +31,14 @@ from .divided import (
     parse_divided,
     reachable_by_local_reversals,
 )
-from .machines import DIVIDED_OBSTRUCTIONS, PQS_BASIS_CONJECTURED_COUNT, PQS_SEQUENCE, PS_BASIS, MachineKind
+from .machines import (
+    DIVIDED_OBSTRUCTIONS,
+    PQS_BASIS_CONJECTURE_LEN,
+    PQS_BASIS_CONJECTURED_COUNT,
+    PQS_SEQUENCE,
+    PS_BASIS,
+    MachineKind,
+)
 from .perms import (
     Permutation,
     all_perms,
@@ -357,9 +364,10 @@ def _chk_pqs_basis(bound: int):
             return False, f"mined element {element} is not a minimal unsortable permutation"
     detail = (
         f"{len(basis)} mined elements to length {bound} are unsortable with "
-        f"every one-entry deletion sortable (conjectured {PQS_BASIS_CONJECTURED_COUNT} at 9)"
+        f"every one-entry deletion sortable (conjectured {PQS_BASIS_CONJECTURED_COUNT} "
+        f"at {PQS_BASIS_CONJECTURE_LEN})"
     )
-    if bound >= 9 and len(basis) != PQS_BASIS_CONJECTURED_COUNT:
+    if bound >= PQS_BASIS_CONJECTURE_LEN and len(basis) != PQS_BASIS_CONJECTURED_COUNT:
         detail += "; CONJECTURE-MISMATCH"
     return True, detail
 

@@ -1,4 +1,6 @@
 import itertools
+import pickle
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -87,8 +89,22 @@ class TestClassSpec:
 
     def test_predicate_spec(self):
         spec = ClassSpec.from_predicate("increasing", lambda p: list(p) == sorted(p))
+        assert not spec.closed
         assert count_members(spec, 4) == 1
         assert count_by_length(spec, 4) == [1, 1, 1, 1]
+
+    def test_predicate_spec_scans_serially_for_any_jobs(self, monkeypatch):
+        # A predicate spec is not closed, so no walk splits it: jobs > 1
+        # must neither change its counts nor start a worker pool.
+        spec = ClassSpec.from_predicate("structural", structural_member)
+        serial = count_by_length(spec, 6, jobs=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a predicate spec started a worker pool")
+
+        monkeypatch.setattr(classes.multiprocessing, "Pool", no_pool)
+        assert count_by_length(spec, 6, jobs=2) == serial
+        assert count_members(spec, 6, jobs=2) == serial[-1]
 
 
 class TestCountMembers:
@@ -112,8 +128,9 @@ class TestCountMembers:
     def test_one_walk_counts_every_length(self):
         calls = []
         sp = ClassSpec.from_machine(MachineKind.SP)
-        spec = ClassSpec(sp.name, sp.canonical_text, sp.member, sp.descriptor,
-                         lambda vals: calls.append(vals) or sp.member_values(vals))
+        spec = ClassSpec(sp.name, sp.canonical_text,
+                         lambda vals: calls.append(vals) or sp.member_values(vals),
+                         closed=True)
         assert count_by_length(spec, 7) == [count_members(sp, n) for n in range(1, 8)]
         assert len(calls) == 5511  # one count_members call per n makes 6583
 
@@ -169,14 +186,35 @@ WALKED_SPECS = [ClassSpec.from_machine(kind) for kind in MachineKind] + [
 ]
 
 
+def _avoids_by_occurrences(patterns, p):
+    return not any(count_occurrences(q, p) for q in patterns)
+
+
+def _reference(spec, reference, max_n):
+    return pytest.param(spec, reference, max_n, id=str(spec))
+
+
+# (spec, independent reference, longest length checked): the unpruned move
+# graph for machines (to length 5; the unpruned SQP search alone takes
+# seconds at length 6) and occurrence counting over index subsets for bases.
+REFERENCES = [
+    _reference(ClassSpec.from_machine(kind), partial(is_sortable_unpruned, kind), 5)
+    for kind in MachineKind
+] + [
+    _reference(ClassSpec.from_basis(pats), partial(_avoids_by_occurrences, pats), 7)
+    for pats in ([parse(t) for t in texts] for texts in WALKED_BASES)
+]
+
+
 class TestValuesOracle:
     """`member_values` is what the walks call, on tuples they never validate."""
 
     @pytest.mark.parametrize("spec", WALKED_SPECS, ids=str)
     def test_walk_hands_over_bijections(self, spec):
         handed = []
-        spy = ClassSpec(spec.name, spec.canonical_text, spec.member, spec.descriptor,
-                        lambda vals: handed.append(vals) or spec.member_values(vals))
+        spy = ClassSpec(spec.name, spec.canonical_text,
+                        lambda vals: handed.append(vals) or spec.member_values(vals),
+                        closed=True)
         count_by_length(spy, 7)
         compute_basis(spy, 7)
         assert handed
@@ -184,23 +222,19 @@ class TestValuesOracle:
             assert type(vals) is tuple
             assert sorted(vals) == list(range(1, len(vals) + 1)), vals
 
-    @pytest.mark.parametrize("spec", WALKED_SPECS, ids=str)
-    def test_agrees_with_reference(self, spec):
+    @pytest.mark.parametrize("spec, reference, max_n", REFERENCES)
+    def test_agrees_with_reference(self, spec, reference, max_n):
         # `member` is `member_values` on p.values, so both are checked
-        # against a route sharing no code with them: the unpruned move graph
-        # for machines (to length 5; the unpruned SQP search alone takes
-        # seconds at length 6) and occurrence counting over index subsets
-        # for bases.
-        tag, payload = spec.descriptor
-        if tag == "machine":
-            kind = MachineKind.from_name(payload)
-            cases = [(p, is_sortable_unpruned(kind, p)) for n in range(6) for p in all_perms(n)]
-        else:
-            pats = [Permutation(pv) for pv in payload]
-            cases = [(p, not any(count_occurrences(q, p) for q in pats))
-                     for n in range(8) for p in all_perms(n)]
-        for p, expected in cases:
-            assert spec.member(p) == spec.member_values(p.values) == expected, p
+        # against a route sharing no code with them.
+        for p in (p for n in range(max_n + 1) for p in all_perms(n)):
+            assert spec.member(p) == spec.member_values(p.values) == reference(p), p
+
+    @pytest.mark.parametrize("spec", WALKED_SPECS, ids=str)
+    def test_oracle_pickles(self, spec):
+        # Worker processes of count_by_length receive the oracle itself.
+        oracle = pickle.loads(pickle.dumps(spec.member_values))
+        for vals in (v for n in range(7) for v in itertools.permutations(range(1, n + 1))):
+            assert oracle(vals) == spec.member_values(vals), vals
 
     @pytest.mark.parametrize("spec", WALKED_SPECS, ids=str)
     def test_count_builds_no_permutation(self, spec, monkeypatch):
@@ -302,15 +336,6 @@ class TestWilfTable:
         assert table.rows[3].counts == (14, 21)
         assert not table.rows[3].all_equal
         assert not table.all_equal
-
-    def test_serialization(self):
-        specs = [ClassSpec.from_basis([parse("231")]), PS_BASIS_SPEC]
-        table = wilf_table(specs, 3)
-        lines = table.to_csv().splitlines()
-        assert lines[0] == f"n,{specs[0].name},{specs[1].name}"
-        assert lines[1:] == ["1,1,1", "2,2,2", "3,5,6"]
-        obj = table.to_json_obj()
-        assert obj["rows"][2] == {"n": 3, "counts": [5, 6], "all_equal": False}
 
 
 class TestSimples:
