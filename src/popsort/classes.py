@@ -197,7 +197,7 @@ def count_by_length(spec: ClassSpec, max_n: int, jobs: int = 1) -> list[int]:
     return _count_walk(spec.member_values, max_n)[1:]
 
 
-def count_members(spec: ClassSpec, n: int, jobs: int = 1) -> int:
+def count_members(spec: ClassSpec, n: int) -> int:
     """Number of length-n members.
 
     Walks the generating tree to length n as count_by_length does, or
@@ -209,7 +209,7 @@ def count_members(spec: ClassSpec, n: int, jobs: int = 1) -> int:
         return 1 if spec.member_values(()) else 0
     if not spec.closed:
         return _scan_count(spec, n)
-    return count_by_length(spec, n, jobs)[-1]
+    return count_by_length(spec, n)[-1]
 
 
 def _by_length(vals: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -264,7 +264,6 @@ class WilfRow:
 
 @dataclass(frozen=True)
 class WilfTable:
-    spec_names: tuple[str, ...]
     rows: tuple[WilfRow, ...]
 
     @property
@@ -272,14 +271,14 @@ class WilfTable:
         return all(row.all_equal for row in self.rows)
 
 
-def wilf_table(specs: Sequence[ClassSpec], max_n: int, jobs: int = 1) -> WilfTable:
+def wilf_table(specs: Sequence[ClassSpec], max_n: int) -> WilfTable:
     """Counts of each spec for each n <= max_n, with equality flags."""
-    columns = [count_by_length(spec, max_n, jobs=jobs) for spec in specs]
+    columns = [count_by_length(spec, max_n) for spec in specs]
     rows = []
     for n in range(1, max_n + 1):
         counts = tuple(column[n - 1] for column in columns)
         rows.append(WilfRow(n, counts, len(set(counts)) <= 1))
-    return WilfTable(tuple(spec.name for spec in specs), tuple(rows))
+    return WilfTable(tuple(rows))
 
 
 def simples_in_class(basis: Iterable[Permutation], max_len: int) -> list[Permutation]:

@@ -192,21 +192,18 @@ class Machine:
 # (a flush would wedge the stack otherwise), and an SP/SQP pop stack must
 # always hold a descending consecutive run (nothing else can ever be
 # flushed out).  In SQP the queue cannot reorder, so the values entering
-# it (`flow`) reach the pop stack in that order and must form a prefix of
-# a layered permutation: runs of consecutive values, each run decreasing,
-# the runs increasing (e.g. 2,1,3,6,5,4).  SQP pushes into the queue are
-# pruned to keep that invariant.
+# it reach the pop stack in that order and must form a prefix of a layered
+# permutation: runs of consecutive values, each run decreasing, the runs
+# increasing (e.g. 2,1,3,6,5,4).  SQP pushes into the queue are pruned to
+# keep that invariant.
 #
 # In SP and SQP every value leaves the stack for the pop stack in the
 # same order, and a pop stack sorts exactly the layered permutations
 # (Avis & Newborn 1981), so the stream leaving the stack must be layered.
-# Both searches refuse an INPUT by two rules (`_input_ceiling`):
+# Both searches refuse an INPUT by two rules (`_input_dead`):
 #   1. No stack z, y, x (bottom to top) with y < z < x: x leaves before
 #      the smaller y, so the two share a run and z, between them in value,
-#      must leave between them, but z leaves after y.  `ceil[k]` is the
-#      smallest value of stack[:k] with a smaller value above it (n + 1 if
-#      none); an entry above ceil[-1] is refused.  It is a function of the
-#      stack, so the memo key omits it.
+#      must leave between them, but z leaves after y.
 #   2. No INPUT while b - 1 is on top of the stack, where b ends the open
 #      run (SP: the pop stack's top; SQP: `last`): only b - 1 may leave
 #      the stack next, and a value put on it could never move.
@@ -220,6 +217,11 @@ class Machine:
 #      after x and before lo, so it lands on x, which still waits for lo.
 #   B. x > lo and x > cap, cap the least stack value above lo: x lands
 #      above cap, which still waits for lo.
+#
+# Every pruned search keys its memo on its machine configuration.  PQS's
+# (lo, hi, cap) and SQP's (lo, top, last) are functions of that
+# configuration, so the keys omit them.
+#
 # `is_sortable_unpruned` explores the raw move graph, edge by edge from
 # `Machine.successors`, and is compared against these searches by the
 # test suite.
@@ -313,8 +315,7 @@ def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     def dfs(i: int, j: int, stack: tuple[int, ...], nn: int,
             block: tuple[int, int, int]) -> bool:
         # pop stack = p[j:i], oldest first; queue empty.  block = (lo, hi,
-        # cap) of p[j:i] when j < i (see `_pqs_block`); it is a function of
-        # i, j and stack, so the key omits it.
+        # cap) of p[j:i] when j < i (see `_pqs_block`).
         if nn > n:
             return True
         key = (i, j, stack, nn)
@@ -379,27 +380,30 @@ def _pqs_block(p: tuple[int, ...], i: int, j: int, stack: tuple[int, ...],
     return x, 0, len(p) + 1
 
 
-def _input_ceiling(stack: tuple[int, ...], ceiling: int, x: int, b: int) -> int:
-    """The stack's ceiling once x is put on it, or 0 if that INPUT is dead.
+def _input_dead(stack: tuple[int, ...], x: int, b: int) -> bool:
+    """True if putting x on the stack is a dead INPUT (rule 1 or 2).
 
-    `ceiling` is the current stack's; b ends the open run (0: none open).
+    b ends the open run (0: none open).  The scan runs from the top,
+    keeping the least value seen so far: a value v with least < v < x is
+    the z of a z, y, x.
     """
-    if x > ceiling or (stack and stack[-1] == b - 1):
-        return 0
-    for v in stack:
-        if x < v < ceiling:
-            ceiling = v
-    return ceiling
+    if stack and stack[-1] == b - 1:
+        return True
+    least = x
+    for v in reversed(stack):
+        if v < least:
+            least = v
+        elif v < x:
+            return True
+    return False
 
 
 def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     n = len(p)
     failed: set[tuple] = set()
 
-    def dfs(i: int, stack: tuple[int, ...], ceil: tuple[int, ...],
-            pop: tuple[int, ...], nn: int) -> bool:
-        # pop is kept a descending consecutive run, oldest (largest) first;
-        # ceil[k] is the ceiling of stack[:k]
+    def dfs(i: int, stack: tuple[int, ...], pop: tuple[int, ...], nn: int) -> bool:
+        # pop is kept a descending consecutive run, oldest (largest) first
         if pop and pop[-1] == nn:
             nn += len(pop)
             pop = ()
@@ -408,14 +412,13 @@ def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
         key = (i, stack, pop, nn)
         if key in failed:
             return False
-        if i < n:
-            c = _input_ceiling(stack, ceil[-1], p[i], pop[-1] if pop else 0)
-            if c and dfs(i + 1, stack + (p[i],), ceil + (c,), pop, nn):
-                if rec is not None:
-                    rec.append(Move.INPUT)
-                return True
+        if (i < n and not _input_dead(stack, p[i], pop[-1] if pop else 0)
+                and dfs(i + 1, stack + (p[i],), pop, nn)):
+            if rec is not None:
+                rec.append(Move.INPUT)
+            return True
         if (stack and (not pop or stack[-1] == pop[-1] - 1)
-                and dfs(i, stack[:-1], ceil[:-1], pop + (stack[-1],), nn)):
+                and dfs(i, stack[:-1], pop + (stack[-1],), nn)):
             if rec is not None:
                 if stack[-1] == nn:
                     rec.append(Move.FLUSH_OUTPUT)
@@ -425,7 +428,7 @@ def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
         return False
 
     try:
-        return dfs(0, (), (n + 1,), (), 1)
+        return dfs(0, (), (), 1)
     finally:
         del dfs
 
@@ -434,39 +437,37 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     n = len(p)
     failed: set[tuple] = set()
 
-    def dfs(i: int, stack: tuple[int, ...], ceil: tuple[int, ...], flow: tuple[int, ...],
-            d: int, pop: tuple[int, ...], nn: int, lo: int, top: int, last: int) -> bool:
-        # queue = flow[d:]; flow is a layered prefix whose closed runs hold
-        # 1..lo-1 and whose open run is top..last (last == 0: none open).
-        # ceil[k] is the ceiling of stack[:k].  ceil, lo, top and last are
-        # functions of stack and flow, so the key omits them.
+    def dfs(i: int, stack: tuple[int, ...], queue: tuple[int, ...],
+            pop: tuple[int, ...], nn: int, lo: int, top: int, last: int) -> bool:
+        # The values pushed into the queue so far form a layered prefix
+        # whose closed runs hold 1..lo-1 and whose open run is top..last
+        # (last == 0: none open).
         if pop and pop[-1] == nn:
             nn += len(pop)
             pop = ()
         if nn > n:
             return True
-        key = (i, stack, flow, d, pop, nn)
+        key = (i, stack, queue, pop, nn)
         if key in failed:
             return False
-        if i < n:
-            c = _input_ceiling(stack, ceil[-1], p[i], last)
-            if c and dfs(i + 1, stack + (p[i],), ceil + (c,), flow, d, pop, nn, lo, top, last):
-                if rec is not None:
-                    rec.append(Move.INPUT)
-                return True
+        if (i < n and not _input_dead(stack, p[i], last)
+                and dfs(i + 1, stack + (p[i],), queue, pop, nn, lo, top, last)):
+            if rec is not None:
+                rec.append(Move.INPUT)
+            return True
         if stack and (stack[-1] == last - 1 if last else stack[-1] >= lo):
             x = stack[-1]
             run_top = top if last else x
             # pushing lo closes the run
             runs = (run_top + 1, 0, 0) if x == lo else (lo, run_top, x)
-            if dfs(i, stack[:-1], ceil[:-1], flow + (x,), d, pop, nn, *runs):
+            if dfs(i, stack[:-1], queue + (x,), pop, nn, *runs):
                 if rec is not None:
                     rec.append(Move.PUSH_ONE)
                 return True
-        if (d < len(flow) and (not pop or flow[d] == pop[-1] - 1)
-                and dfs(i, stack, ceil, flow, d + 1, pop + (flow[d],), nn, lo, top, last)):
+        if (queue and (not pop or queue[0] == pop[-1] - 1)
+                and dfs(i, stack, queue[1:], pop + (queue[0],), nn, lo, top, last)):
             if rec is not None:
-                if flow[d] == nn:
+                if queue[0] == nn:
                     rec.append(Move.FLUSH_OUTPUT)
                 rec.append(Move.DEQUEUE)
             return True
@@ -474,7 +475,7 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
         return False
 
     try:
-        return dfs(0, (), (n + 1,), (), 0, (), 1, 1, 0, 0)
+        return dfs(0, (), (), (), 1, 1, 0, 0)
     finally:
         del dfs
 

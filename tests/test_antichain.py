@@ -13,7 +13,7 @@ from popsort.antichain import (
     witness_division,
 )
 from popsort.divided import DividedPermutation, div_avoids, parse_divided
-from popsort.perms import Permutation, all_perms, delete_entry, identity, parse
+from popsort.perms import Permutation, delete_entry, identity, parse
 
 
 class TestElements:
@@ -107,18 +107,3 @@ class TestAntichainReports:
         assert report.pairs_checked == 0
         assert report.passed
 
-
-class TestDownwardClosureSpotCheck:
-    def test_members_stay_members_after_deletion(self):
-        memo = {}
-
-        def member(p):
-            if p.values not in memo:
-                memo[p.values] = in_avoidance_class(p)
-            return memo[p.values]
-
-        for n in range(2, 7):
-            for p in all_perms(n):
-                if member(p):
-                    for pos in range(1, n + 1):
-                        assert member(delete_entry(p, pos)), (p, pos)

@@ -97,14 +97,13 @@ class TestClassSpec:
         # A predicate spec is not closed, so no walk splits it: jobs > 1
         # must neither change its counts nor start a worker pool.
         spec = ClassSpec.from_predicate("structural", structural_member)
-        serial = count_by_length(spec, 6, jobs=1)
+        serial = count_by_length(spec, 6)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a predicate spec started a worker pool")
 
         monkeypatch.setattr(classes.multiprocessing, "Pool", no_pool)
         assert count_by_length(spec, 6, jobs=2) == serial
-        assert count_members(spec, 6, jobs=2) == serial[-1]
 
 
 class TestCountMembers:
@@ -123,7 +122,7 @@ class TestCountMembers:
 
     def test_jobs_do_not_change_counts(self):
         spec = ClassSpec.from_machine(MachineKind.PQS)
-        assert count_members(spec, 5, jobs=2) == count_members(spec, 5, jobs=1)
+        assert count_by_length(spec, 5, jobs=2) == count_by_length(spec, 5)
 
     def test_one_walk_counts_every_length(self):
         calls = []
@@ -170,7 +169,7 @@ class TestWalkAgainstReferences:
         "spec", [ClassSpec.from_machine(MachineKind.PQS), PS_BASIS_SPEC], ids=str
     )
     def test_jobs_split_by_subtree(self, spec):
-        assert count_members(spec, 7, jobs=2) == count_members(spec, 7, jobs=1)
+        assert count_by_length(spec, 7, jobs=2) == count_by_length(spec, 7)
 
     def test_basis_to_length_one_is_empty(self):
         assert compute_basis(ClassSpec.from_basis([parse("12")]), 1) == []

@@ -387,53 +387,68 @@ class TestDeadInputRules:
     """The two rules by which SP and SQP refuse an INPUT, and the two by
     which PQS does, each on a small permutation where the search meets it."""
 
-    def test_ceiling(self):
-        assert machines._input_ceiling((), 4, 2, 0) == 4
-        assert machines._input_ceiling((2,), 4, 1, 0) == 2   # 2 now has 1 above it
-        assert machines._input_ceiling((2, 1), 2, 3, 0) == 0  # rule 1
-        assert machines._input_ceiling((1, 2), 5, 4, 3) == 0  # rule 2
-        assert machines._input_ceiling((1, 2), 5, 4, 0) == 5
+    def test_input_dead(self):
+        assert not machines._input_dead((), 2, 0)
+        assert not machines._input_dead((2,), 1, 0)
+        assert machines._input_dead((2, 1), 3, 0)   # rule 1
+        assert machines._input_dead((1, 2), 4, 3)   # rule 2
+        assert not machines._input_dead((1, 2), 4, 0)
 
     @given(perm_strategy(max_n=9))
-    def test_ceiling_is_exact(self, p):
+    def test_input_dead_is_exact(self, p):
         # Reading p onto a stack, rule 1 refuses exactly the first entry x
-        # that completes z, y, x (bottom to top) with y < z < x; until then
-        # the ceiling is the smallest value with a smaller value above it.
-        stack, ceiling = (), len(p) + 1
+        # that completes z, y, x (bottom to top) with y < z < x.
+        stack = ()
         for x in p.values:
-            c = machines._input_ceiling(stack, ceiling, x, 0)
             dead = any(y < z < x for a, z in enumerate(stack) for y in stack[a + 1:])
-            assert (c == 0) == dead
+            assert machines._input_dead(stack, x, 0) == dead
             if dead:
                 break
             stack += (x,)
-            assert c == min(
-                (z for a, z in enumerate(stack) if any(y < z for y in stack[a + 1:])),
-                default=len(p) + 1,
-            )
-            ceiling = c
 
     @pytest.mark.parametrize("kind", [MachineKind.SP, MachineKind.SQP])
     @pytest.mark.parametrize("text, refusal", [
-        # rule 1: 3 on the stack 2, 1 (ceiling 2)
-        ("213", ((2, 1), 2, 3, 0)),
+        # rule 1: 3 on the stack 2, 1
+        ("213", ((2, 1), 3, 0)),
         # rule 2: 4 would bury 2, which the open run ending at 3 needs next
-        ("1324", ((1, 2), 5, 4, 3)),
+        ("1324", ((1, 2), 4, 3)),
     ])
     def test_refused_input_keeps_answer(self, kind, text, refusal, monkeypatch):
         refused = []
-        rule = machines._input_ceiling
+        rule = machines._input_dead
 
         def spy(*args):
-            c = rule(*args)
-            if not c:
+            dead = rule(*args)
+            if dead:
                 refused.append(args)
-            return c
+            return dead
 
-        monkeypatch.setattr(machines, "_input_ceiling", spy)
+        monkeypatch.setattr(machines, "_input_dead", spy)
         p = parse(text)
         assert is_sortable(kind, p) == is_sortable_unpruned(kind, p) is True
         assert refusal in refused
+
+    @given(perm_strategy(max_n=9))
+    def test_sqp_open_run_is_a_function_of_input_and_stack(self, p):
+        # The SQP memo key omits (lo, top, last).  At each INPUT check, the
+        # values read and no longer on the stack have entered the queue;
+        # lo is the least value not among them, and b, the least value of
+        # the open run, is the least of them above lo (0: none).
+        rule = machines._input_dead
+        seen = []
+
+        def spy(stack, x, b):
+            entered = set(p.values[:p.values.index(x)]) - set(stack)
+            lo = min(set(range(1, len(p) + 2)) - entered)
+            seen.append(b == min((v for v in entered if v > lo), default=0))
+            return rule(stack, x, b)
+
+        machines._input_dead = spy
+        try:
+            is_sortable(MachineKind.SQP, p)
+        finally:
+            machines._input_dead = rule
+        assert all(seen)
 
     @staticmethod
     def pqs_refusals(p, check=None):

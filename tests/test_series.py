@@ -220,10 +220,6 @@ class TestClosedForm:
     def test_constant_term_vanishes(self):
         assert closed_form(10)[0] == 0
 
-    def test_coefficients_nonnegative_integers_to_forty(self):
-        coeffs = closed_form(40).integer_coefficients()
-        assert all(c >= 0 for c in coeffs)
-
     def test_terms_guard(self):
         with pytest.raises(ValueError):
             closed_form(0)
@@ -259,15 +255,3 @@ class TestComponents:
     def test_skew_part_counts_skew_decomposable_members(self):
         # by direct enumeration at n = 3: 231, 312, 321 are skew decomposable
         assert components(4).skew_part.integer_coefficients()[3] == 3
-
-    def test_geometric_identity(self):
-        terms = 12
-        f = closed_form(terms)
-        x = PowerSeries.x(terms)
-        term = (x * f) / (1 - x)
-        acc = PowerSeries.constant(0, terms)
-        power = term * term
-        for _ in range(2, terms + 1):
-            acc = acc + power
-            power = power * term
-        assert components(terms).alternation_part == acc
