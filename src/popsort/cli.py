@@ -24,8 +24,7 @@ from .perms import ParseError, parse
 CACHE_FORMAT_VERSION = "1"
 
 ENUMERATE_MAX_LEN = 11
-BASIS_MAX_LEN = {"pqs": PQS_BASIS_CONJECTURE_LEN}
-BASIS_MAX_LEN_DEFAULT = 10
+BASIS_MAX_LEN = 10
 SERIES_MAX_TERMS = 200
 # Longest permutation `sortable` accepts.  The searches recurse once per
 # move, at most three frames per entry (SQP: input, push, dequeue; the other
@@ -264,9 +263,8 @@ def cmd_enumerate(args, out) -> int:
 
 def cmd_basis(args, out) -> int:
     kind = MachineKind.from_name(args.machine)
-    limit = BASIS_MAX_LEN.get(kind.value, BASIS_MAX_LEN_DEFAULT)
-    if not 1 <= args.max_len <= limit:
-        raise UsageError(f"--max-len for {kind.value} must be in 1..{limit}")
+    if not 1 <= args.max_len <= BASIS_MAX_LEN:
+        raise UsageError(f"--max-len must be in 1..{BASIS_MAX_LEN}")
     elements = compute_basis(ClassSpec.from_machine(kind), args.max_len)
     if (
         kind is MachineKind.PQS

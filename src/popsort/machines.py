@@ -14,11 +14,11 @@ Kinds (first device listed first):
 
 A machine sorts pi when some move sequence emits 1,...,n.  Output-type
 moves are restricted to emitting the smallest outstanding value, which
-turns the output into a counter.  `Machine.successors` is the one
-statement of the raw move semantics: each legal move with the state it
-leads to.  `apply_move` checks one step against it, `replay` runs a move
-sequence through it, and `is_sortable_unpruned` is the slow reference
-search over the graph it spans, used to validate the pruning.
+turns the output into a counter.  `successors` is the one statement of
+the raw move semantics: each legal move with the state it leads to.
+`replay` runs a move sequence through it, and `is_sortable_unpruned` is
+the slow reference search over the graph it spans, used to validate the
+pruning.
 `is_sortable`/`sorting_witness` run a pruned depth-first search over
 configurations; `decider` hands out the same search as a decision on value
 tuples, for callers that build candidates by construction.
@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional
 
 from .divided import DividedPattern, exists_division_avoiding, parse_divided
-from .perms import Permutation, avoids, parse
+from .perms import Permutation, avoids, identity, parse
 
 
 class MachineKind(Enum):
@@ -89,12 +89,11 @@ def moves_from_text(kind: MachineKind, text: str) -> list[Move]:
 
 
 class IllegalMoveError(RuntimeError):
-    def __init__(self, move: Move, state: "MachineState", step: int | None = None):
+    def __init__(self, move: Move, state: "MachineState", step: int):
         self.move = move
         self.state = state
         self.step = step
-        at = f" at step {step}" if step is not None else ""
-        super().__init__(f"illegal move {move.name}{at} in state {state}")
+        super().__init__(f"illegal move {move.name} at step {step} in state {state}")
 
 
 @dataclass(frozen=True)
@@ -120,66 +119,48 @@ class MachineState:
         )
 
 
-class Machine:
-    """The move semantics of one machine kind bound to one input permutation."""
+def successors(kind: MachineKind, p: tuple[int, ...],
+               state: MachineState) -> Iterator[tuple[Move, MachineState]]:
+    """Each move legal in `state` on input p with the state it leads to,
+    generated one at a time so that `replay` stops at the one it looks for.
 
-    def __init__(self, kind: MachineKind, perm: Permutation):
-        self.kind = kind
-        self.perm = perm
-
-    def initial_state(self) -> MachineState:
-        return MachineState()
-
-    def successors(self, state: MachineState) -> Iterator[tuple[Move, MachineState]]:
-        """Each move legal in `state` with the state it leads to, generated
-        one at a time so that `apply_move` stops at the one it looks for.
-
-        The order is fixed: the output-type move, INPUT, FLUSH_POP or
-        PUSH_ONE, then DEQUEUE.  Flushing an empty pop stack is never
-        offered (it would be a no-op), and output moves are only offered
-        when they emit the next needed value (or, for SP/SQP, the run
-        starting at it).
-        """
-        kind = self.kind
-        p = self.perm.values
-        i, pop, queue, stack, nn = (
-            state.input_pos, state.pop, state.queue, state.stack, state.next_needed,
-        )
-        pop_last = kind in (MachineKind.SP, MachineKind.SQP)
-        if pop_last:
-            # Popping emits top to bottom; that must read nn, nn+1, ...
-            if pop and all(pop[-1 - t] == nn + t for t in range(len(pop))):
-                yield Move.FLUSH_OUTPUT, MachineState(i, (), queue, stack, nn + len(pop))
-        elif stack and stack[-1] == nn:
-            yield Move.OUTPUT, MachineState(i, pop, queue, stack[:-1], nn + 1)
-        if i < len(p):
-            # S, SP and SQP read onto their stack, the others onto `pop`.
-            x = p[i]
-            if pop_last or kind is MachineKind.S:
-                yield Move.INPUT, MachineState(i + 1, pop, queue, stack + (x,), nn)
-            elif kind is not MachineKind.DI or not pop or x > pop[-1]:
-                yield Move.INPUT, MachineState(i + 1, pop + (x,), queue, stack, nn)
-        if kind is MachineKind.PS and pop:
-            yield Move.FLUSH_POP, MachineState(i, (), queue, stack + pop[::-1], nn)
-        elif kind is MachineKind.PQS and pop:
-            yield Move.FLUSH_POP, MachineState(i, (), queue + pop[::-1], stack, nn)
-        elif kind is MachineKind.SP and stack:
-            yield Move.PUSH_ONE, MachineState(i, pop + stack[-1:], queue, stack[:-1], nn)
-        elif kind is MachineKind.SQP and stack:
-            yield Move.PUSH_ONE, MachineState(i, pop, queue + stack[-1:], stack[:-1], nn)
-        elif kind is MachineKind.DI and pop and (not stack or pop[-1] < stack[-1]):
-            yield Move.PUSH_ONE, MachineState(i, pop[:-1], queue, stack + pop[-1:], nn)
-        if kind is MachineKind.PQS and queue:
-            yield Move.DEQUEUE, MachineState(i, pop, queue[1:], stack + queue[:1], nn)
-        elif kind is MachineKind.SQP and queue:
-            yield Move.DEQUEUE, MachineState(i, pop + queue[:1], queue[1:], stack, nn)
-
-    def apply_move(self, state: MachineState, move: Move) -> MachineState:
-        """The state `move` leads to; IllegalMoveError if it is not legal."""
-        for offered, nxt in self.successors(state):
-            if offered is move:
-                return nxt
-        raise IllegalMoveError(move, state)
+    The order is fixed: the output-type move, INPUT, FLUSH_POP or
+    PUSH_ONE, then DEQUEUE.  Flushing an empty pop stack is never
+    offered (it would be a no-op), and output moves are only offered
+    when they emit the next needed value (or, for SP/SQP, the run
+    starting at it).
+    """
+    i, pop, queue, stack, nn = (
+        state.input_pos, state.pop, state.queue, state.stack, state.next_needed,
+    )
+    pop_last = kind in (MachineKind.SP, MachineKind.SQP)
+    if pop_last:
+        # Popping emits top to bottom; that must read nn, nn+1, ...
+        if pop and all(pop[-1 - t] == nn + t for t in range(len(pop))):
+            yield Move.FLUSH_OUTPUT, MachineState(i, (), queue, stack, nn + len(pop))
+    elif stack and stack[-1] == nn:
+        yield Move.OUTPUT, MachineState(i, pop, queue, stack[:-1], nn + 1)
+    if i < len(p):
+        # S, SP and SQP read onto their stack, the others onto `pop`.
+        x = p[i]
+        if pop_last or kind is MachineKind.S:
+            yield Move.INPUT, MachineState(i + 1, pop, queue, stack + (x,), nn)
+        elif kind is not MachineKind.DI or not pop or x > pop[-1]:
+            yield Move.INPUT, MachineState(i + 1, pop + (x,), queue, stack, nn)
+    if kind is MachineKind.PS and pop:
+        yield Move.FLUSH_POP, MachineState(i, (), queue, stack + pop[::-1], nn)
+    elif kind is MachineKind.PQS and pop:
+        yield Move.FLUSH_POP, MachineState(i, (), queue + pop[::-1], stack, nn)
+    elif kind is MachineKind.SP and stack:
+        yield Move.PUSH_ONE, MachineState(i, pop + stack[-1:], queue, stack[:-1], nn)
+    elif kind is MachineKind.SQP and stack:
+        yield Move.PUSH_ONE, MachineState(i, pop, queue + stack[-1:], stack[:-1], nn)
+    elif kind is MachineKind.DI and pop and (not stack or pop[-1] < stack[-1]):
+        yield Move.PUSH_ONE, MachineState(i, pop[:-1], queue, stack + pop[-1:], nn)
+    if kind is MachineKind.PQS and queue:
+        yield Move.DEQUEUE, MachineState(i, pop, queue[1:], stack + queue[:1], nn)
+    elif kind is MachineKind.SQP and queue:
+        yield Move.DEQUEUE, MachineState(i, pop + queue[:1], queue[1:], stack, nn)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +204,7 @@ class Machine:
 # configuration, so the keys omit them.
 #
 # `is_sortable_unpruned` explores the raw move graph, edge by edge from
-# `Machine.successors`, and is compared against these searches by the
-# test suite.
+# `successors`, and is compared against these searches by the test suite.
 #
 # Witnesses are recorded on the way back up.  A search appends to `rec`
 # only once the child a move leads to has returned True: that move, then
@@ -549,29 +529,24 @@ def sorting_witness(kind: MachineKind, p: Permutation) -> Optional[list[Move]]:
 def replay(kind: MachineKind, p: Permutation, moves: Iterable[Move]) -> Permutation:
     """Run a move sequence and return what was output, as a permutation.
 
-    Raises IllegalMoveError (with the 1-based step) on the first move that
-    is not legal in the state it is applied to.
+    Output moves only ever emit the next needed value, so the output is
+    1, ..., next_needed - 1.  Raises IllegalMoveError (with the 1-based
+    step) on the first move that is not legal in the state it is applied to.
     """
-    machine = Machine(kind, p)
-    state = machine.initial_state()
-    emitted: list[int] = []
+    state = MachineState()
     for step, move in enumerate(moves, start=1):
-        before = state
-        try:
-            state = machine.apply_move(state, move)
-        except IllegalMoveError:
-            raise IllegalMoveError(move, before, step) from None
-        if move is Move.OUTPUT:
-            emitted.append(before.stack[-1])
-        elif move is Move.FLUSH_OUTPUT:
-            emitted.extend(before.pop[::-1])
-    return Permutation(tuple(emitted))
+        for offered, nxt in successors(kind, p.values, state):
+            if offered is move:
+                state = nxt
+                break
+        else:
+            raise IllegalMoveError(move, state, step)
+    return identity(state.next_needed - 1)
 
 
 def is_sortable_unpruned(kind: MachineKind, p: Permutation) -> bool:
-    """Exhaustive search over the raw move graph of `Machine.successors` (the reference)."""
-    machine = Machine(kind, p)
-    start = machine.initial_state()
+    """Exhaustive search over the raw move graph of `successors` (the reference)."""
+    start = MachineState()
     done = len(p) + 1
     seen = {start}
     todo = [start]
@@ -579,7 +554,7 @@ def is_sortable_unpruned(kind: MachineKind, p: Permutation) -> bool:
         state = todo.pop()
         if state.next_needed == done:
             return True
-        for _, nxt in machine.successors(state):
+        for _, nxt in successors(kind, p.values, state):
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)

@@ -134,7 +134,7 @@ def _chk_dual_formula(bound: int):
     return True, f"both dual implementations agree for n <= {bound}"
 
 
-@_check("substitution-decomposition-roundtrip", fast=5, full=8)
+@_check("substitution-decomposition-roundtrip", fast=6, full=8)
 def _chk_decompose(bound: int):
     for p in _perms_upto(bound, start=1):
         quotient, parts = substitution_decompose(p)
@@ -145,7 +145,7 @@ def _chk_decompose(bound: int):
     return True, f"inflate(decompose(p)) == p with simple quotient for n <= {bound}"
 
 
-@_check("contains-agrees-with-naive-oracle", fast=(3, 5), full=(4, 7))
+@_check("contains-agrees-with-naive-oracle", fast=(4, 6), full=(4, 7))
 def _chk_contains_oracle(bounds: tuple[int, int]):
     pat_bound, host_bound = bounds
     pats = list(_perms_upto(pat_bound, start=1))
@@ -191,7 +191,7 @@ def _chk_div_oracle(bound: int):
     return True, f"block-aware backtracking == naive scan for hosts n <= {bound}"
 
 
-@_check("undivided-div-contains-degenerates-to-contains", fast=4, full=6)
+@_check("undivided-div-contains-degenerates-to-contains", fast=5, full=6)
 def _chk_div_degenerate(bound: int):
     pats = [DividedPermutation(p) for p in _perms_upto(3, start=1)]
     for host_perm in _perms_upto(bound):
@@ -202,26 +202,18 @@ def _chk_div_degenerate(bound: int):
     return True, f"single-block semantics match plain containment for n <= {bound}"
 
 
-def _division_matches_simulator(kind: MachineKind, bound: int) -> tuple[bool, str]:
-    pats = DIVIDED_OBSTRUCTIONS[kind]
+@_check("pqs-division-characterization", fast=6, full=8)
+def _chk_pqs_division(bound: int):
+    # The PS characterization is part of `ps-triple-characterization`.
+    pats = DIVIDED_OBSTRUCTIONS[MachineKind.PQS]
     for p in _perms_upto(bound):
         division = exists_division_avoiding(p, pats)
-        if (division is not None) != machines.is_sortable(kind, p):
-            return False, f"division route disagrees with {kind.name} simulator on {p}"
-    return True, f"division existence == {kind.name} simulator for n <= {bound}"
+        if (division is not None) != machines.is_sortable(MachineKind.PQS, p):
+            return False, f"division route disagrees with PQS simulator on {p}"
+    return True, f"division existence == PQS simulator for n <= {bound}"
 
 
-@_check("ps-division-characterization", fast=5, full=8)
-def _chk_ps_division(bound: int):
-    return _division_matches_simulator(MachineKind.PS, bound)
-
-
-@_check("pqs-division-characterization", fast=5, full=8)
-def _chk_pqs_division(bound: int):
-    return _division_matches_simulator(MachineKind.PQS, bound)
-
-
-@_check("pqs-division-equals-local-reversals", fast=5, full=8)
+@_check("pqs-division-equals-local-reversals", fast=6, full=8)
 def _chk_local_reversals(bound: int):
     # The 231-avoiders are the single-stack class (entry
     # `single-stack-sorts-iff-avoids-231`); its forced search is linear.
@@ -237,7 +229,7 @@ def _chk_local_reversals(bound: int):
 
 # -- machines ------------------------------------------------------------------
 
-@_check("single-stack-sorts-iff-avoids-231", fast=5, full=8)
+@_check("single-stack-sorts-iff-avoids-231", fast=6, full=8)
 def _chk_single_stack(bound: int):
     pat = parse("231")
     for p in _perms_upto(bound):
@@ -293,7 +285,7 @@ def _chk_ps_subsets(bound: int):
     return True, f"PS subset of PQS and of DI for n <= {bound}"
 
 
-@_check("ps-sum-closure", fast=6, full=8)
+@_check("ps-sum-closure", fast=7, full=8)
 def _chk_sum_closure(total: int):
     sortable = [
         p for n in range(1, total) for p in all_perms(n)

@@ -9,6 +9,8 @@ Criterion 03 also runs its entry at n <= 8, the bound the paper's table
 confirms, apart from the n = 9 extension.
 `test_criterion_bounds` pins which entries state each criterion and at
 what full bound, so no criterion loses an entry or a bound unseen.
+`test_fast_bound_floors` pins the least fast bound of the entries that
+took over exhaustive loops from `tests/`, since tier-1 runs them only there.
 """
 import sys
 
@@ -29,6 +31,17 @@ CRITERIA = {
     "11": [("antichain-elements-are-basis-elements", 4), ("antichain-pairwise-incomparable", 5)],
     "12": [("witnesses-replay-to-identity", 7)],
     "13": [("pruned-search-equals-unpruned", 6)],
+}
+
+# registry entry -> least fast bound; a tuple bound is floored entry by entry
+FAST_FLOORS = {
+    "contains-agrees-with-naive-oracle": (4, 6),
+    "substitution-decomposition-roundtrip": 6,
+    "undivided-div-contains-degenerates-to-contains": 5,
+    "pqs-division-equals-local-reversals": 6,
+    "pqs-division-characterization": 6,
+    "single-stack-sorts-iff-avoids-231": 6,
+    "ps-sum-closure": 7,
 }
 
 
@@ -70,3 +83,13 @@ def test_criterion_bounds():
     assert tagged == CRITERIA
     tested = {name[15:17] for name in globals() if name.startswith("test_criterion_")}
     assert tested >= set(CRITERIA)
+
+
+def test_fast_bound_floors():
+    fast = {check.name: check.fast for check in _CHECKS}
+    for name, floor in FAST_FLOORS.items():
+        bound = fast[name]
+        if isinstance(floor, tuple):
+            assert all(b >= f for b, f in zip(bound, floor)), (name, bound)
+        else:
+            assert bound >= floor, (name, bound)

@@ -1,7 +1,6 @@
 import pytest
 
 from popsort.antichain import (
-    AntichainReport,
     BasisElementReport,
     MAX_ANTICHAIN_K,
     MAX_BASIS_ELEMENT_K,
@@ -87,17 +86,6 @@ class TestBasisElementReports:
 
 
 class TestAntichainReports:
-    def test_pairwise_incomparable_to_five(self):
-        report = check_antichain(5)
-        assert isinstance(report, AntichainReport)
-        assert report.passed
-        assert report.pairs_checked == 10
-        assert report.comparable_pairs == ()
-
-    def test_two_copies_of_2341_each(self):
-        report = check_antichain(5)
-        assert report.occurrence_counts == tuple((k, 2) for k in range(1, 6))
-
     def test_bound_guard(self):
         with pytest.raises(ValueError):
             check_antichain(MAX_ANTICHAIN_K + 1)

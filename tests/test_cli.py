@@ -260,20 +260,18 @@ class TestBasis:
         code, text = run_cli("basis", "--machine", "s", "--max-len", "4", "--format", "text")
         assert text.splitlines()[0] == "count 1"
 
-    def test_pqs_bound_is_nine(self):
-        code, _ = run_cli("basis", "--machine", "pqs", "--max-len", "10")
-        assert code == 2
-
-    def test_other_bound_is_ten(self):
-        code, _ = run_cli("basis", "--machine", "ps", "--max-len", "11")
+    @pytest.mark.parametrize("machine", [k.value for k in MachineKind])
+    def test_bound_is_ten(self, machine):
+        code, _ = run_cli("basis", "--machine", machine, "--max-len", "11")
         assert code == 2
 
     def test_conjecture_mismatch_diagnostic(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "compute_basis", lambda spec, n: [parse("231")])
-        code, doc = run_json("basis", "--machine", "pqs", "--max-len", "9")
-        assert code == 0  # a count other than 108 is reported, not a failure
-        assert doc["count"] == 1
-        assert "CONJECTURE-MISMATCH" in capsys.readouterr().err
+        for max_len in ("9", "10"):
+            code, doc = run_json("basis", "--machine", "pqs", "--max-len", max_len)
+            assert code == 0  # a count other than 108 is reported, not a failure
+            assert doc["count"] == 1
+            assert "CONJECTURE-MISMATCH" in capsys.readouterr().err
 
 
 class TestSeries:

@@ -16,7 +16,7 @@ from popsort.divided import (
     parse_divided,
     reachable_by_local_reversals,
 )
-from popsort.machines import DIVIDED_OBSTRUCTIONS, MachineKind, is_sortable
+from popsort.machines import DIVIDED_OBSTRUCTIONS, MachineKind
 from popsort.perms import (
     EMPTY,
     ParseError,
@@ -83,14 +83,6 @@ class TestDivContains:
         assert not div_contains(parse_divided("2|3|1"), parse_divided("23|1"))
         assert div_contains(parse_divided("2|3|1"), parse_divided("2|3|1"))
 
-    def test_agrees_with_naive_oracle_exhaustively(self):
-        pats = [parse_divided(t) for t in ("21", "2|1", "132", "2|13", "32|1", "2|3|1", "31|42")]
-        for n in range(0, 6):
-            for base in all_perms(n):
-                for host in all_divisions(base):
-                    for pat in pats:
-                        assert div_contains(pat, host) == naive_div_contains(pat, host)
-
     @settings(max_examples=150)
     @given(perm_strategy(max_n=7, min_n=1), st.integers(0, 1 << 6), st.integers(0, 1 << 6))
     def test_agrees_with_naive_oracle_random(self, host_base, hmask, pmask):
@@ -100,17 +92,6 @@ class TestDivContains:
         pats = list(all_divisions(pat_base))
         pat = pats[pmask % len(pats)]
         assert div_contains(pat, host) == naive_div_contains(pat, host)
-
-    def test_degenerates_to_plain_containment(self):
-        for n in range(0, 6):
-            for host in all_perms(n):
-                undivided = DividedPermutation(host)
-                for k in range(1, 4):
-                    for pat in all_perms(k):
-                        assert div_contains(
-                            DividedPermutation(pat), undivided
-                        ) == contains(pat, host)
-
 
 class TestAllDivisions:
     @pytest.mark.parametrize("n,count", [(1, 1), (3, 4), (5, 16)])
@@ -196,12 +177,6 @@ class TestLocalReversals:
     def test_465132_not_reachable(self):
         assert not reachable_by_local_reversals(parse("465132"), self.avoids_231)
 
-    def test_matches_pqs_divisions_small(self):
-        for n in range(0, 7):
-            for p in all_perms(n):
-                via_division = exists_division_avoiding(p, PQS_PATTERNS) is not None
-                assert via_division == reachable_by_local_reversals(p, self.avoids_231)
-
     def test_tries_blockwise_reversals_in_division_order(self):
         # The reference: blockwise_reverse of every all_divisions entry.
         for n in range(0, 6):
@@ -224,12 +199,3 @@ class TestLocalReversals:
 
             assert reachable_by_local_reversals(p, member)
             assert tried == expected[: stop + 1]
-
-
-class TestMachineCharacterizations:
-    def test_pqs_division_matches_simulator_small(self):
-        for n in range(0, 7):
-            for p in all_perms(n):
-                assert (
-                    exists_division_avoiding(p, PQS_PATTERNS) is not None
-                ) == is_sortable(MachineKind.PQS, p)
