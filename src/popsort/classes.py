@@ -175,9 +175,10 @@ def count_by_length(spec: ClassSpec, max_n: int, jobs: int = 1) -> list[int]:
     Closed specs (machine and basis specs) are counted by walking the
     generating tree to length max_n once.  With jobs > 1 and
     max_n > _PARTITION_LEN the walk is split into the subtrees below the
-    members of length _PARTITION_LEN; each worker process is handed the
-    spec's oracle and returns its counts by length, and the lists are
-    summed in a fixed order, so the result is identical for any job count.
+    members of length _PARTITION_LEN, one task each, on at most that many
+    worker processes; each worker is handed the spec's oracle and returns
+    its counts by length, and the lists are summed in a fixed order, so the
+    result is identical for any job count.
     Predicate-backed specs, which may not be closed, are counted by a
     serial scan of all n! permutations of each length.
     """
@@ -190,9 +191,10 @@ def count_by_length(spec: ClassSpec, max_n: int, jobs: int = 1) -> list[int]:
             counts[len(v)] += 1
             if len(v) == _PARTITION_LEN:
                 tasks.append((spec.member_values, max_n, v, sites))
-        with multiprocessing.Pool(jobs) as pool:
-            for sub in pool.starmap(_count_walk, tasks):
-                counts = [a + b for a, b in zip(counts, sub)]
+        if tasks:
+            with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+                for sub in pool.starmap(_count_walk, tasks):
+                    counts = [a + b for a, b in zip(counts, sub)]
         return counts[1:]
     return _count_walk(spec.member_values, max_n)[1:]
 

@@ -27,9 +27,10 @@ ENUMERATE_MAX_LEN = 11
 BASIS_MAX_LEN = 10
 SERIES_MAX_TERMS = 200
 # Longest permutation `sortable` accepts.  The searches recurse once per
-# move, at most three frames per entry (SQP: input, push, dequeue; the other
-# kinds two), so 300 entries stay under Python's default recursion limit
-# of 1000 with room for the caller's frames.
+# chosen move, and forced moves (outputs, flushes to the output, PQS
+# dequeues) never recurse: at most three frames per entry (SQP: input,
+# push, dequeue; the other kinds two), so 300 entries stay under Python's
+# default recursion limit of 1000 with room for the caller's frames.
 SORTABLE_MAX_LEN = 300
 
 # Schemas for the JSON emitted by each command (draft-07); the test suite
@@ -429,7 +430,3 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     except (UsageError, ParseError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -166,12 +166,18 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 # ---------------------------------------------------------------------------
 # Pruned depth-first searches, one per kind.
 #
-# All searches force output-type moves the moment they are legal and skip
-# moves that provably lead nowhere: the final stack must stay strictly
-# increasing read top to bottom (else its entries can never leave in
-# order), a PS pop stack must stay strictly decreasing read top to bottom
-# (a flush would wedge the stack otherwise), and an SP/SQP pop stack must
-# always hold a descending consecutive run (nothing else can ever be
+# All searches take output-type moves the moment they are legal.  Only the
+# move that feeds the device the output leaves from can make one legal, and
+# the branch making it applies it, with every output it chains, before it
+# recurses (PS: flush, DI: push, SP: push, SQP: dequeue, PQS: the drain
+# after a flush; S is one forced loop).  No `dfs` is entered with an
+# output-type move legal.
+#
+# The searches skip moves that provably lead nowhere: the final stack must
+# stay strictly increasing read top to bottom (else its entries can never
+# leave in order), a PS pop stack must stay strictly decreasing read top to
+# bottom (a flush would wedge the stack otherwise), and an SP/SQP pop stack
+# must always hold a descending consecutive run (nothing else can ever be
 # flushed out).  In SQP the queue cannot reorder, so the values entering
 # it reach the pop stack in that order and must form a prefix of a layered
 # permutation: runs of consecutive values, each run decreasing, the runs
@@ -206,15 +212,12 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 # `is_sortable_unpruned` explores the raw move graph, edge by edge from
 # `successors`, and is compared against these searches by the test suite.
 #
-# Witnesses are recorded on the way back up.  A search appends to `rec`
-# only once the child a move leads to has returned True: that move, then
-# the forced moves that led into the current state.  `rec` therefore holds
-# the witness back to front and `sorting_witness` reverses it once; a
-# failed branch leaves nothing to roll back.  PS and DI record the outputs
-# a state forced on entry; in SP and SQP the push or dequeue that completed
-# the run records the child's flush (it flushes iff the moved value is the
-# next needed one); PQS records its whole drain reversed.  With `rec` None,
-# its default (a decision), no list is touched.
+# Witnesses are recorded on the way back up.  A branch appends to `rec`
+# only once the child it leads to has returned True: the forced moves it
+# applied, last first, then its own move.  `rec` therefore holds the
+# witness back to front and `sorting_witness` reverses it once; a failed
+# branch leaves nothing to roll back.  With `rec` None, its default (a
+# decision), no list is touched.
 #
 # Each recursive `dfs` refers to itself, a reference cycle that would keep
 # its `failed` memo alive until the cyclic garbage collector runs; the
@@ -251,27 +254,26 @@ def _solve_ps(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
 
     def dfs(i: int, j: int, stack: tuple[int, ...], nn: int) -> bool:
         # pop stack = p[j:i], oldest first
-        outs = 0
-        while stack and stack[-1] == nn:
-            stack = stack[:-1]
-            nn += 1
-            outs += 1
         if nn > n:
-            if rec is not None:
-                rec.extend((Move.OUTPUT,) * outs)
             return True
         key = (i, j, stack, nn)
         if key in failed:
             return False
         if i < n and (j == i or p[i] > p[i - 1]) and dfs(i + 1, j, stack, nn):
             if rec is not None:
-                rec.extend((Move.INPUT,) + (Move.OUTPUT,) * outs)
+                rec.append(Move.INPUT)
             return True
-        if (j < i and (not stack or p[i - 1] < stack[-1])
-                and dfs(i, i, stack + p[j:i][::-1], nn)):
-            if rec is not None:
-                rec.extend((Move.FLUSH_POP,) + (Move.OUTPUT,) * outs)
-            return True
+        if j < i and (not stack or p[i - 1] < stack[-1]):
+            st = stack + p[j:i][::-1]
+            out = nn
+            while st and st[-1] == out:
+                st = st[:-1]
+                out += 1
+            if dfs(i, i, st, out):
+                if rec is not None:
+                    rec.extend((Move.OUTPUT,) * (out - nn))
+                    rec.append(Move.FLUSH_POP)
+                return True
         failed.add(key)
         return False
 
@@ -309,26 +311,26 @@ def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
                 return True
         if j < i:
             st = stack
-            nn2 = nn
-            alive = True
-            drain: list[Move] | None = [Move.FLUSH_POP] if rec is not None else None
+            out = nn
+            drain: list[Move] | None = [] if rec is not None else None
             for t in range(i - 1, j - 1, -1):
                 x = p[t]
                 if st and x > st[-1]:
-                    alive = False
                     break
                 st = st + (x,)
                 if drain is not None:
                     drain.append(Move.DEQUEUE)
-                while st and st[-1] == nn2:
+                while st and st[-1] == out:
                     st = st[:-1]
-                    nn2 += 1
+                    out += 1
                     if drain is not None:
                         drain.append(Move.OUTPUT)
-            if alive and dfs(i, i, st, nn2, (0, 0, 0)):
-                if drain is not None:
-                    rec.extend(reversed(drain))
-                return True
+            else:
+                if dfs(i, i, st, out, (0, 0, 0)):
+                    if drain is not None:
+                        rec.extend(reversed(drain))
+                        rec.append(Move.FLUSH_POP)
+                    return True
         failed.add(key)
         return False
 
@@ -384,9 +386,6 @@ def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
 
     def dfs(i: int, stack: tuple[int, ...], pop: tuple[int, ...], nn: int) -> bool:
         # pop is kept a descending consecutive run, oldest (largest) first
-        if pop and pop[-1] == nn:
-            nn += len(pop)
-            pop = ()
         if nn > n:
             return True
         key = (i, stack, pop, nn)
@@ -397,13 +396,15 @@ def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
             if rec is not None:
                 rec.append(Move.INPUT)
             return True
-        if (stack and (not pop or stack[-1] == pop[-1] - 1)
-                and dfs(i, stack[:-1], pop + (stack[-1],), nn)):
-            if rec is not None:
-                if stack[-1] == nn:
-                    rec.append(Move.FLUSH_OUTPUT)
-                rec.append(Move.PUSH_ONE)
-            return True
+        if stack and (not pop or stack[-1] == pop[-1] - 1):
+            x = stack[-1]
+            run, out = ((), nn + len(pop) + 1) if x == nn else (pop + (x,), nn)
+            if dfs(i, stack[:-1], run, out):
+                if rec is not None:
+                    if out > nn:
+                        rec.append(Move.FLUSH_OUTPUT)
+                    rec.append(Move.PUSH_ONE)
+                return True
         failed.add(key)
         return False
 
@@ -422,9 +423,6 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
         # The values pushed into the queue so far form a layered prefix
         # whose closed runs hold 1..lo-1 and whose open run is top..last
         # (last == 0: none open).
-        if pop and pop[-1] == nn:
-            nn += len(pop)
-            pop = ()
         if nn > n:
             return True
         key = (i, stack, queue, pop, nn)
@@ -444,13 +442,15 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
                 if rec is not None:
                     rec.append(Move.PUSH_ONE)
                 return True
-        if (queue and (not pop or queue[0] == pop[-1] - 1)
-                and dfs(i, stack, queue[1:], pop + (queue[0],), nn, lo, top, last)):
-            if rec is not None:
-                if queue[0] == nn:
-                    rec.append(Move.FLUSH_OUTPUT)
-                rec.append(Move.DEQUEUE)
-            return True
+        if queue and (not pop or queue[0] == pop[-1] - 1):
+            x = queue[0]
+            run, out = ((), nn + len(pop) + 1) if x == nn else (pop + (x,), nn)
+            if dfs(i, stack, queue[1:], run, out, lo, top, last):
+                if rec is not None:
+                    if out > nn:
+                        rec.append(Move.FLUSH_OUTPUT)
+                    rec.append(Move.DEQUEUE)
+                return True
         failed.add(key)
         return False
 
@@ -465,27 +465,26 @@ def _solve_di(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     failed: set[tuple] = set()
 
     def dfs(i: int, first: tuple[int, ...], second: tuple[int, ...], nn: int) -> bool:
-        outs = 0
-        while second and second[-1] == nn:
-            second = second[:-1]
-            nn += 1
-            outs += 1
         if nn > n:
-            if rec is not None:
-                rec.extend((Move.OUTPUT,) * outs)
             return True
         key = (i, first, second, nn)
         if key in failed:
             return False
         if i < n and (not first or p[i] > first[-1]) and dfs(i + 1, first + (p[i],), second, nn):
             if rec is not None:
-                rec.extend((Move.INPUT,) + (Move.OUTPUT,) * outs)
+                rec.append(Move.INPUT)
             return True
-        if (first and (not second or first[-1] < second[-1])
-                and dfs(i, first[:-1], second + (first[-1],), nn)):
-            if rec is not None:
-                rec.extend((Move.PUSH_ONE,) + (Move.OUTPUT,) * outs)
-            return True
+        if first and (not second or first[-1] < second[-1]):
+            st = second + first[-1:]
+            out = nn
+            while st and st[-1] == out:
+                st = st[:-1]
+                out += 1
+            if dfs(i, first[:-1], st, out):
+                if rec is not None:
+                    rec.extend((Move.OUTPUT,) * (out - nn))
+                    rec.append(Move.PUSH_ONE)
+                return True
         failed.add(key)
         return False
 

@@ -104,6 +104,32 @@ class TestClassSpec:
         monkeypatch.setattr(classes.multiprocessing, "Pool", no_pool)
         assert count_by_length(spec, 6, jobs=2) == serial
 
+    @pytest.mark.parametrize("spec, workers", [
+        (PS_SPEC, [21]),  # one task per PS member of length 4
+        (ClassSpec.from_basis([parse("12"), parse("21")]), []),  # no member of length 4
+    ], ids=["ps", "empty"])
+    def test_pool_has_no_more_workers_than_tasks(self, spec, workers, monkeypatch):
+        # A spy pool records its size and maps serially: no process starts.
+        started = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, tasks):
+                return [fn(*task) for task in tasks]
+
+        serial = count_by_length(spec, 6)
+        monkeypatch.setattr(classes.multiprocessing, "Pool", SerialPool)
+        assert count_by_length(spec, 6, jobs=100_000) == serial
+        assert started == workers
+
 
 class TestCountMembers:
     def test_short_lengths_unconstrained_by_length_four_basis(self):

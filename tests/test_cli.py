@@ -1,6 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -389,3 +393,17 @@ class TestUsage:
     def test_jobs_guard(self):
         code, _ = run_cli("enumerate", "--machine", "ps", "--max-len", "3", "--jobs", "0")
         assert code == 2
+
+    def test_module_entry_point(self):
+        # `python -m popsort` from a source checkout, with src on the path.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def module(*argv):
+            return subprocess.run([sys.executable, "-m", "popsort", *argv],
+                                  env=env, capture_output=True, text=True)
+
+        done = module("sortable", "--machine", "ps", "24513")
+        assert (done.returncode, done.stdout) == run_cli("sortable", "--machine", "ps", "24513")
+        bad = module("sortable", "--machine", "ps", "1,1")
+        assert bad.returncode == 2 and "Traceback" not in bad.stderr

@@ -298,6 +298,38 @@ class TestWitnessStability:
         )
 
 
+class TestForcedOutputs:
+    """The searches take an output-type move the moment it is legal: when
+    `successors` offers one first, the witness's next move is that move."""
+
+    @staticmethod
+    def check(kind, p):
+        """Walk p's witness, if any; True iff there is one."""
+        witness = sorting_witness(kind, p)
+        state = MachineState()
+        for move in witness or ():
+            offered = list(successors(kind, p.values, state))
+            first = offered[0][0]
+            if first in (Move.OUTPUT, Move.FLUSH_OUTPUT):
+                assert move is first, (p, state)
+            state = dict(offered)[move]
+        return witness is not None
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @given(p=perm_strategy(max_n=9))
+    def test_short_inputs(self, kind, p):
+        self.check(kind, p)
+
+    def test_seeded_members(self):
+        rng = random.Random("forced-outputs")
+        for kind in (MachineKind.SP, MachineKind.SQP):
+            for _ in range(10):
+                p = random_member(kind, rng.randint(20, 40), rng)
+                assert self.check(kind, p)
+                if kind is MachineKind.SP:
+                    assert self.check(MachineKind.PQS, p.dual())
+
+
 class TestReplay:
     def test_single_stack_swap(self):
         moves = moves_from_text(MachineKind.S, "I,I,O,O")
