@@ -1,8 +1,8 @@
 """Class-level computations: counting, basis mining, Wilf tables, simples.
 
-A `ClassSpec` is one membership oracle on value tuples (`member_values`)
-with a canonical text, a stable fingerprint used as a cache key, and a
-`closed` flag.  Machine specs use the kind's search (`machines.decider`)
+A `ClassSpec` is a canonical text, one membership oracle on value tuples
+(`member_values`) and a `closed` flag; its fingerprint, a cache key, is a
+hash of the text.  Machine specs use the kind's search (`machines.decider`)
 and basis specs `avoids_values` over their pattern tuples; both oracles
 are module-level functions or partials of them, so they pickle.
 Predicate specs wrap the tuple in a Permutation for their predicate.
@@ -47,8 +47,9 @@ class MalformedOracleError(RuntimeError):
     """The membership oracle cannot describe a permutation class."""
 
 
+@dataclass(frozen=True)
 class ClassSpec:
-    """A named membership oracle with a canonical text and fingerprint.
+    """A canonical text, its membership oracle and a `closed` flag.
 
     `member_values` is the oracle: it decides membership on a value tuple
     that the caller vouches is a bijection on 1..len, as the walks'
@@ -59,20 +60,13 @@ class ClassSpec:
     scanned serially.
     """
 
-    __slots__ = ("name", "canonical_text", "fingerprint", "member_values", "closed")
+    canonical_text: str
+    member_values: Callable[[tuple[int, ...]], bool]
+    closed: bool = False
 
-    def __init__(
-        self,
-        name: str,
-        canonical_text: str,
-        member_values: Callable[[tuple[int, ...]], bool],
-        closed: bool = False,
-    ):
-        self.name = name
-        self.canonical_text = canonical_text
-        self.fingerprint = hashlib.sha256(canonical_text.encode()).hexdigest()[:16]
-        self.member_values = member_values
-        self.closed = closed
+    @property
+    def fingerprint(self) -> str:
+        return hashlib.sha256(self.canonical_text.encode()).hexdigest()[:16]
 
     def member(self, p: Permutation) -> bool:
         return self.member_values(p.values)
@@ -81,10 +75,9 @@ class ClassSpec:
         return f"ClassSpec({self.canonical_text!r})"
 
     @staticmethod
-    def from_basis(patterns: Iterable[Permutation], name: str | None = None) -> "ClassSpec":
+    def from_basis(patterns: Iterable[Permutation]) -> "ClassSpec":
         pats = tuple(sorted(set(patterns), key=lambda p: (len(p), p.values)))
         return ClassSpec(
-            name or f"Av({','.join(str(p).replace(',', '') for p in pats)})",
             "basis:" + ";".join(str(p) for p in pats),
             partial(avoids_values, tuple(p.values for p in pats)),
             closed=True,
@@ -92,16 +85,11 @@ class ClassSpec:
 
     @staticmethod
     def from_machine(kind: MachineKind) -> "ClassSpec":
-        return ClassSpec(
-            f"{kind.name}-sortable",
-            f"machine:{kind.value}",
-            machines.decider(kind),
-            closed=True,
-        )
+        return ClassSpec(f"machine:{kind.value}", machines.decider(kind), closed=True)
 
     @staticmethod
     def from_predicate(name: str, member: Callable[[Permutation], bool]) -> "ClassSpec":
-        return ClassSpec(name, f"predicate:{name}", lambda vals: member(Permutation(vals)))
+        return ClassSpec(f"predicate:{name}", lambda vals: member(Permutation(vals)))
 
 
 def _walk(
@@ -233,7 +221,7 @@ def compute_basis(spec: ClassSpec, max_len: int) -> list[Permutation]:
         return []
     if not spec.member_values((1,)):
         raise MalformedOracleError(
-            f"{spec.name}: oracle rejects the singleton permutation; "
+            f"{spec.canonical_text}: oracle rejects the singleton permutation; "
             "basis mining expects a class containing 1"
         )
     rejected: list[tuple[int, ...]] = []
@@ -257,30 +245,10 @@ def _lower_deletions(vals: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield tuple(w - (w > v) for s, w in enumerate(vals) if s != t)
 
 
-@dataclass(frozen=True)
-class WilfRow:
-    n: int
-    counts: tuple[int, ...]
-    all_equal: bool
-
-
-@dataclass(frozen=True)
-class WilfTable:
-    rows: tuple[WilfRow, ...]
-
-    @property
-    def all_equal(self) -> bool:
-        return all(row.all_equal for row in self.rows)
-
-
-def wilf_table(specs: Sequence[ClassSpec], max_n: int) -> WilfTable:
-    """Counts of each spec for each n <= max_n, with equality flags."""
+def wilf_table(specs: Sequence[ClassSpec], max_n: int) -> list[tuple[int, ...]]:
+    """Counts by length: row n - 1 holds each spec's count at n."""
     columns = [count_by_length(spec, max_n) for spec in specs]
-    rows = []
-    for n in range(1, max_n + 1):
-        counts = tuple(column[n - 1] for column in columns)
-        rows.append(WilfRow(n, counts, len(set(counts)) <= 1))
-    return WilfTable(tuple(rows))
+    return [tuple(column[n] for column in columns) for n in range(max_n)]
 
 
 def simples_in_class(basis: Iterable[Permutation], max_len: int) -> list[Permutation]:

@@ -151,7 +151,7 @@ def _emit_json(obj, out) -> None:
 
 def _spec_from_args(args) -> ClassSpec:
     if args.machine:
-        return ClassSpec.from_machine(MachineKind.from_name(args.machine))
+        return ClassSpec.from_machine(MachineKind(args.machine))
     patterns = []
     for tok in args.basis.split(","):
         tok = tok.strip()
@@ -201,7 +201,7 @@ def _save_cache(path: Path, cache: dict) -> None:
 
 
 def cmd_sortable(args, out) -> int:
-    kind = MachineKind.from_name(args.machine)
+    kind = MachineKind(args.machine)
     p = parse(args.perm)
     if len(p) > SORTABLE_MAX_LEN:
         raise UsageError(f"permutation length must be at most {SORTABLE_MAX_LEN}, got {len(p)}")
@@ -263,7 +263,7 @@ def cmd_enumerate(args, out) -> int:
 
 
 def cmd_basis(args, out) -> int:
-    kind = MachineKind.from_name(args.machine)
+    kind = MachineKind(args.machine)
     if not 1 <= args.max_len <= BASIS_MAX_LEN:
         raise UsageError(f"--max-len must be in 1..{BASIS_MAX_LEN}")
     elements = compute_basis(ClassSpec.from_machine(kind), args.max_len)

@@ -41,13 +41,6 @@ class MachineKind(Enum):
     SQP = "sqp"
     DI = "di"
 
-    @classmethod
-    def from_name(cls, name: str) -> "MachineKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown machine kind {name!r}") from None
-
 
 class Move(Enum):
     INPUT = "I"

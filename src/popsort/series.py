@@ -76,14 +76,11 @@ class PowerSeries:
         return " + ".join(terms) if terms else "0"
 
     @staticmethod
-    def from_coeffs(values: Sequence[Scalar], order: int | None = None) -> "PowerSeries":
-        """Series with the given low-order coefficients, zero-padded."""
-        coeffs = [Fraction(v) for v in values]
-        if order is not None:
-            if order + 1 < len(coeffs):
-                coeffs = coeffs[: order + 1]
-            coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
-        return PowerSeries(tuple(coeffs))
+    def from_coeffs(values: Sequence[Scalar], order: int) -> "PowerSeries":
+        """Series to `order` with the given low-order coefficients, cut or
+        zero-padded."""
+        values = tuple(values[: order + 1])
+        return PowerSeries(values + (Fraction(0),) * (order + 1 - len(values)))
 
     @staticmethod
     def constant(value: Scalar, order: int) -> "PowerSeries":
@@ -191,9 +188,7 @@ class PowerSeries:
         return PowerSeries(tuple(Fraction(uk, step ** k) for k, uk in enumerate(u)))
 
     def truncate(self, order: int) -> "PowerSeries":
-        if order >= self.order:
-            return PowerSeries(self.coeffs + (Fraction(0),) * (order - self.order))
-        return PowerSeries(self.coeffs[: order + 1])
+        return PowerSeries.from_coeffs(self.coeffs, order)
 
     def integer_coefficients(self) -> list[int]:
         """Coefficients as ints; raises if any is not integral."""

@@ -408,9 +408,12 @@ def _chk_wilf(bound: int):
         ClassSpec.from_basis([parse(t) for t in texts])
         for texts in (("2431", "3142", "3241"), ("2431", "4231", "4321"), ("2143", "2413", "3142"))
     ]
-    table = wilf_table(specs, bound)
-    if not table.all_equal:
-        rows = [(r.n, r.counts) for r in table.rows if not r.all_equal]
+    rows = [
+        (n, counts)
+        for n, counts in enumerate(wilf_table(specs, bound), start=1)
+        if len(set(counts)) > 1
+    ]
+    if rows:
         return False, f"counts diverge: {rows}"
     return True, f"three classes share counts for n <= {bound}"
 
@@ -457,14 +460,6 @@ def _chk_series_agreement(order: int):
     return True, f"closed form == fixed point to order {order}"
 
 
-@_check("closed-form-coefficients-nonnegative-integers", fast=40, full=40)
-def _chk_series_integrality(order: int):
-    coeffs = series.closed_form(order).integer_coefficients()  # raises if non-integer
-    if any(c < 0 for c in coeffs):
-        return False, "negative coefficient"
-    return True, f"all coefficients integral and nonnegative to order {order}"
-
-
 @_check("alternation-part-geometric-identity", fast=12, full=20)
 def _chk_series_geometric(order: int):
     f = series.closed_form(order)
@@ -509,13 +504,19 @@ def _chk_divided_closure(bound: int):
 
 
 def run_suite(suite: str, out) -> bool:
-    """Run every registry entry at the suite's bound; print one line each."""
+    """Run every registry entry at the suite's bound; print one line each.
+
+    An entry that raises fails, and the remaining entries still run.
+    """
     if suite not in ("fast", "all"):
         raise ValueError(f"unknown suite {suite!r} (expected fast or all)")
     all_ok = True
     for check in _CHECKS:
         t0 = time.monotonic()
-        ok, detail = check.run(check.fast if suite == "fast" else check.full)
+        try:
+            ok, detail = check.run(check.fast if suite == "fast" else check.full)
+        except Exception as exc:
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         dt = time.monotonic() - t0
         tag = "PASS" if ok else "FAIL"
         out.write(f"{tag} {check.name} ({dt:.1f}s): {detail}\n")

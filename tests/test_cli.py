@@ -385,6 +385,22 @@ class TestVerify:
         assert second.startswith("FAIL always-fails (") and second.endswith("): forced at 1")
         assert last == "INVARIANT FAILURES PRESENT"
 
+    def test_raising_entry_fails_and_the_rest_run(self, monkeypatch):
+        def raises(bound):
+            raise AssertionError(f"bad coefficient at {bound}")
+
+        raising = verify.Check("always-raises", 1, 2, raises)
+        passing = verify._CHECKS[0]
+        monkeypatch.setattr(verify, "_CHECKS", [raising, passing])
+        code, text = run_cli("verify", "--suite", "fast")
+        assert code == 1
+        first, second, last = text.splitlines()
+        assert first.startswith("FAIL always-raises (")
+        assert first.endswith("): raised AssertionError: bad coefficient at 1")
+        assert second.startswith(f"PASS {passing.name} (")
+        assert last == "INVARIANT FAILURES PRESENT"
+        assert "Traceback" not in text
+
 
 class TestUsage:
     def test_missing_subcommand(self):
