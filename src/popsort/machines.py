@@ -184,9 +184,15 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 #   1. No stack z, y, x (bottom to top) with y < z < x: x leaves before
 #      the smaller y, so the two share a run and z, between them in value,
 #      must leave between them, but z leaves after y.
-#   2. No INPUT while b - 1 is on top of the stack, where b ends the open
-#      run (SP: the pop stack's top; SQP: `last`): only b - 1 may leave
-#      the stack next, and a value put on it could never move.
+#   2. Let b end the open run (SP: the pop stack's top; SQP: `last`).
+#      The values below b must all leave the stack before anything else,
+#      in descending order, so those on the stack must be its top entries,
+#      largest on top.  While the top is below b, only a value between it
+#      and b may be read onto it.
+# Rule 2 holds its invariant in O(1) per INPUT because the push that opens
+# a run (SP: onto an empty pop stack; SQP: with no run open) checks it
+# once: `_run_buried` refuses that push if a value below the new b is not
+# among the stack's top entries in that order.
 #
 # In PQS an INPUT x joins the open block, and the flush that ends the
 # block drains it onto the stack last entry first: x is fed before the
@@ -197,6 +203,13 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 #      after x and before lo, so it lands on x, which still waits for lo.
 #   B. x > lo and x > cap, cap the least stack value above lo: x lands
 #      above cap, which still waits for lo.
+#
+# A decision may force a move that commutes with every alternative, while
+# a witness keeps the move order: with `rec` None, SQP takes a legal
+# dequeue at once.  The pop stack is fed only by the queue front, INPUT
+# and PUSH_ONE leave the front and the pop stack alone, and no rule of
+# theirs reads either, so any success that dequeues later dequeues the
+# same front into the same pop stack and may do it first.
 #
 # Every pruned search keys its memo on its machine configuration.  PQS's
 # (lo, hi, cap) and SQP's (lo, top, last) are functions of that
@@ -358,11 +371,14 @@ def _pqs_block(p: tuple[int, ...], i: int, j: int, stack: tuple[int, ...],
 def _input_dead(stack: tuple[int, ...], x: int, b: int) -> bool:
     """True if putting x on the stack is a dead INPUT (rule 1 or 2).
 
-    b ends the open run (0: none open).  The scan runs from the top,
-    keeping the least value seen so far: a value v with least < v < x is
-    the z of a z, y, x.
+    b ends the open run (0: none open).  Rule 2: a top below b must leave
+    before everything but the values between it and b, so x must be one
+    of them.  The caller keeps the stack values below b on top, largest
+    on top (`_run_buried`), so the top alone decides.  Rule 1 scans from
+    the top, keeping the least value seen so far: a value v with
+    least < v < x is the z of a z, y, x.
     """
-    if stack and stack[-1] == b - 1:
+    if stack and stack[-1] < b and not stack[-1] < x < b:
         return True
     least = x
     for v in reversed(stack):
@@ -371,6 +387,22 @@ def _input_dead(stack: tuple[int, ...], x: int, b: int) -> bool:
         elif v < x:
             return True
     return False
+
+
+def _run_buried(stack: tuple[int, ...], b: int) -> bool:
+    """True if a push that opens a run ending at b leaves that run buried.
+
+    The stack values below b must be its top entries, largest on top: the
+    walk from the top passes them while each is below the one before.  A
+    value below b left past the walk lies under a value that must leave
+    after it, one not below b or a smaller one.
+    """
+    k = len(stack)
+    bound = b
+    while k and stack[k - 1] < bound:
+        k -= 1
+        bound = stack[k]
+    return any(v < b for v in stack[:k])
 
 
 def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
@@ -389,7 +421,8 @@ def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
             if rec is not None:
                 rec.append(Move.INPUT)
             return True
-        if stack and (not pop or stack[-1] == pop[-1] - 1):
+        if stack and (stack[-1] == pop[-1] - 1 if pop
+                      else stack[-1] == nn or not _run_buried(stack[:-1], stack[-1])):
             x = stack[-1]
             run, out = ((), nn + len(pop) + 1) if x == nn else (pop + (x,), nn)
             if dfs(i, stack[:-1], run, out):
@@ -421,12 +454,16 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
         key = (i, stack, queue, pop, nn)
         if key in failed:
             return False
-        if (i < n and not _input_dead(stack, p[i], last)
+        dequeue = queue and (not pop or queue[0] == pop[-1] - 1)
+        forced = dequeue and rec is None
+        if (not forced and i < n and not _input_dead(stack, p[i], last)
                 and dfs(i + 1, stack + (p[i],), queue, pop, nn, lo, top, last)):
             if rec is not None:
                 rec.append(Move.INPUT)
             return True
-        if stack and (stack[-1] == last - 1 if last else stack[-1] >= lo):
+        if not forced and stack and (
+                stack[-1] == last - 1 if last
+                else stack[-1] == lo or not _run_buried(stack[:-1], stack[-1])):
             x = stack[-1]
             run_top = top if last else x
             # pushing lo closes the run
@@ -435,7 +472,7 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
                 if rec is not None:
                     rec.append(Move.PUSH_ONE)
                 return True
-        if queue and (not pop or queue[0] == pop[-1] - 1):
+        if dequeue:
             x = queue[0]
             run, out = ((), nn + len(pop) + 1) if x == nn else (pop + (x,), nn)
             if dfs(i, stack, queue[1:], run, out, lo, top, last):

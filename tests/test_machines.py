@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -231,8 +232,10 @@ class TestWitnessStability:
 
     The digests were recorded before the searches were pruned (the SQP
     ones before its queue pushes were, the others before SP and SQP
-    refused dead INPUTs); pruning only cuts subtrees without a success,
-    so the first witness found must not change.
+    refused dead INPUTs, and all before those two refused the INPUTs and
+    run-opening pushes that bury the open run); pruning only cuts
+    subtrees without a success, so the first witness found must not
+    change.
     """
 
     @staticmethod
@@ -362,9 +365,53 @@ class TestAlternateRoutes:
             is_sortable_by_division(MachineKind.S, parse("1"))
 
 
+class TestSqpForcedDequeue:
+    """An SQP decision takes a legal dequeue at once; a witness does not."""
+
+    @given(perm_strategy(max_n=7))
+    def test_decision_equals_unpruned(self, p):
+        assert is_sortable(MachineKind.SQP, p) == is_sortable_unpruned(MachineKind.SQP, p)
+
+    @staticmethod
+    def checks_with_dequeue_pending(search, p):
+        """How many INPUT checks `search` makes on p while the queue front
+        may enter the pop stack, read off the calling search's locals."""
+        rule = machines._input_dead
+        pending = []
+
+        def spy(stack, x, b):
+            caller = sys._getframe(1).f_locals
+            queue, pop = caller["queue"], caller["pop"]
+            pending.append(bool(queue) and (not pop or queue[0] == pop[-1] - 1))
+            return rule(stack, x, b)
+
+        machines._input_dead = spy
+        try:
+            search(MachineKind.SQP, p)
+        finally:
+            machines._input_dead = rule
+        return sum(pending)
+
+    @pytest.mark.parametrize("text", ["213", "2143", "1324", "135246"])
+    def test_witness_keeps_move_order(self, text):
+        p = parse(text)
+        assert self.checks_with_dequeue_pending(sorting_witness, p) > 0
+        assert self.checks_with_dequeue_pending(is_sortable, p) == 0
+
+
+def buried(stack, b):
+    """True if a stack value below b lies under one that is not between it
+    and b: the values below b are then not the stack's top entries,
+    largest on top."""
+    return any(y < b and not y < z < b
+               for a, y in enumerate(stack) for z in stack[a + 1:])
+
+
 class TestDeadInputRules:
-    """The two rules by which SP and SQP refuse an INPUT, and the two by
-    which PQS does, each on a small permutation where the search meets it."""
+    """The two rules by which SP and SQP refuse an INPUT, the check of the
+    push that opens a run which keeps rule 2 to the stack top, and the two
+    rules by which PQS refuses an INPUT, each on a small permutation where
+    the search meets it."""
 
     def test_input_dead(self):
         assert not machines._input_dead((), 2, 0)
@@ -372,6 +419,19 @@ class TestDeadInputRules:
         assert machines._input_dead((2, 1), 3, 0)   # rule 1
         assert machines._input_dead((1, 2), 4, 3)   # rule 2
         assert not machines._input_dead((1, 2), 4, 0)
+        assert machines._input_dead((2,), 5, 4)     # rule 2: 5 is not below 4
+        assert not machines._input_dead((2,), 3, 4)
+
+    def test_run_buried(self):
+        assert not machines._run_buried((1, 3), 4)
+        assert machines._run_buried((3, 1), 4)      # 3 must leave before 1
+        assert machines._run_buried((1, 5), 4)      # 5 cannot leave before 1
+
+    @given(perm_strategy(max_n=9))
+    def test_run_buried_is_exact(self, p):
+        for b in range(len(p) + 2):
+            stack = tuple(v for v in p.values if v != b)
+            assert machines._run_buried(stack, b) == buried(stack, b)
 
     @given(perm_strategy(max_n=9))
     def test_input_dead_is_exact(self, p):
@@ -391,21 +451,49 @@ class TestDeadInputRules:
         ("213", ((2, 1), 3, 0)),
         # rule 2: 4 would bury 2, which the open run ending at 3 needs next
         ("1324", ((1, 2), 4, 3)),
+        # rule 2: 2 would bury 3, which the open run ending at 5 needs first
+        ("13524", ((1, 3), 2, 5)),
+        # pushing 2 opens a run that needs 1, and 1 lies under 3
+        ("132", ((1, 3), 2)),
     ])
     def test_refused_input_keeps_answer(self, kind, text, refusal, monkeypatch):
+        # The refusals of `_input_dead` are (stack, x, b) and those of
+        # `_run_buried` (stack, b).
         refused = []
-        rule = machines._input_dead
 
-        def spy(*args):
-            dead = rule(*args)
-            if dead:
-                refused.append(args)
-            return dead
+        def spy(rule):
+            def refuses(*args):
+                dead = rule(*args)
+                if dead:
+                    refused.append(args)
+                return dead
+            return refuses
 
-        monkeypatch.setattr(machines, "_input_dead", spy)
+        for name in ("_input_dead", "_run_buried"):
+            monkeypatch.setattr(machines, name, spy(getattr(machines, name)))
         p = parse(text)
         assert is_sortable(kind, p) == is_sortable_unpruned(kind, p) is True
         assert refusal in refused
+
+    @pytest.mark.parametrize("kind", [MachineKind.SP, MachineKind.SQP])
+    @given(p=perm_strategy(max_n=9))
+    def test_open_run_stays_on_top(self, kind, p):
+        # Rule 2 reads only the stack top: at every INPUT check the stack
+        # values below b are the stack's top entries, largest on top.
+        rule = machines._input_dead
+        seen = []
+
+        def spy(stack, x, b):
+            seen.append(not buried(stack, b))
+            return rule(stack, x, b)
+
+        machines._input_dead = spy
+        try:
+            is_sortable(kind, p)
+            sorting_witness(kind, p)
+        finally:
+            machines._input_dead = rule
+        assert all(seen)
 
     @given(perm_strategy(max_n=9))
     def test_sqp_open_run_is_a_function_of_input_and_stack(self, p):
