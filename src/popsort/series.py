@@ -31,10 +31,17 @@ and the fixed point of
     f = x + f^2/(1+f) + xf/(1-x) + (xf)^2 / ((1-x)(1-x-xf)),
 
 whose agreement (and agreement with brute-force counts) is checked by the
-test suite.  Every term of that right side has positive order in x or is
-a multiple of f^2, and f has no constant term, so coefficient r+1 of the
-right side depends only on f_0..f_r.  The iteration therefore fixes one
-more coefficient per round, and round r needs to work only to order r+1.
+test suite.  The fixed point is found by Newton steps on F(f) = rhs(f) - f:
+g - F(g)/F'(g).  F' has constant term -1, so the division is defined, and
+every divisor in F and F' has constant term 1, so integral coefficients
+stay integral.  If g agrees with the fixed point f* to order k, then
+g - f* = O(x^(k+1)), so F(g) - F'(g)(g - f*) is F(f*) = 0 up to
+O(x^(2k+2)): the step is correct to order 2k+1.  Starting from f = 0,
+correct to order 0, round r therefore works to order 2^r - 1 and no
+further (cut to `terms`), so round terms.bit_length() is the first at the
+full order and yields the fixed point.  The only exit is exact: a round at
+the full order whose residual F(g) is the zero series returns g, so a wrong
+slope could slow convergence but never return a wrong series.
 """
 from __future__ import annotations
 
@@ -179,11 +186,16 @@ class PowerSeries:
             raise ValueError(f"sqrt needs constant term 1, got {a[0]}")
         num, d = _over_common_denominator(a)
         # x -> x/(4d) leaves 1 + 4*(an integer series), whose root has
-        # integer coefficients u_k; then s_k = u_k / (4d)^k
+        # integer coefficients u_k; then s_k = u_k / (4d)^k.  The sum
+        # over 0 < t < k of u_t u_(k-t) is a palindrome: each pair t < k/2
+        # counts twice, plus the middle square when k is even
         step = 4 * d
         u = [1]
         for k in range(1, len(a)):
-            acc = num[k] * step ** k // d - sum(map(mul, u[1:k], u[k - 1:0:-1]))
+            h = (k - 1) // 2
+            acc = num[k] * step ** k // d - 2 * sum(map(mul, u[1:h + 1], u[k - 1:k - h - 1:-1]))
+            if k % 2 == 0:
+                acc -= u[k // 2] ** 2
             u.append(acc // 2)
         return PowerSeries(tuple(Fraction(uk, step ** k) for k, uk in enumerate(u)))
 
@@ -241,24 +253,39 @@ def _rhs(f: PowerSeries, x: PowerSeries) -> PowerSeries:
     return sum(_terms(f, x), x)  # x + sum_part + skew_part + alternation_part
 
 
+def _slope(f: PowerSeries, x: PowerSeries) -> PowerSeries:
+    """d(rhs - f)/df at f; its constant term is -1.
+
+    The skew and alternation terms add up to xf/(1-x-xf), whose derivative
+    is x(1-x)/(1-x-xf)^2; the sum term's is 1 - 1/(1+f)^2.
+    """
+    rest = 1 - x - x * f
+    return x * (1 - x) / (rest * rest) - 1 / ((1 + f) * (1 + f))
+
+
 def fixed_point(terms: int) -> PowerSeries:
     """The same series as the unique fixed point of its defining equation.
 
-    Iterates f <- rhs(f) from f = 0.  Round r fixes coefficient r+1 (see
-    the module docstring), so it evaluates the right side only to order
-    min(r+1, terms) and pads the result with zeros; once that order reaches
-    `terms`, a round that leaves f unchanged ends the iteration.
+    Newton steps on rhs(f) - f from f = 0 at order 0 (see the module
+    docstring): each round works at order min(2*order + 1, terms), order
+    that of the previous iterate, and only a round at order `terms` whose
+    residual is the zero series returns.  That takes terms.bit_length() + 1
+    rounds; past terms.bit_length() + 3 the iteration has failed to converge
+    and raises AssertionError.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    f = PowerSeries.constant(0, terms)
-    for r in range(terms + 2):
-        order = min(r + 1, terms)
-        nxt = _rhs(f.truncate(order), PowerSeries.x(order)).truncate(terms)
-        if order == terms and nxt == f:
-            return f
-        f = nxt
-    raise AssertionError(f"fixed-point iteration did not settle within {terms + 2} rounds")
+    f = PowerSeries.constant(0, 0)
+    rounds = terms.bit_length() + 3
+    for _ in range(rounds):
+        order = min(2 * f.order + 1, terms)
+        g = f.truncate(order)
+        x = PowerSeries.x(order)
+        residual = _rhs(g, x) - g
+        if order == terms and not any(residual.coeffs):
+            return g
+        f = g - residual / _slope(g, x)
+    raise AssertionError(f"Newton iteration did not settle within {rounds} rounds")
 
 
 def components(terms: int) -> SeriesComponents:

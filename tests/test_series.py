@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from popsort import series
 from popsort.perms import contains_values
 from popsort.series import PowerSeries, closed_form, components, fixed_point
 
@@ -233,8 +234,29 @@ class TestFixedPoint:
         assert fixed_point(4) == PowerSeries.from_coeffs([0, 1, 2, 6, 21], 4)
 
     def test_agrees_with_closed_form(self):
-        for terms in (1, 2, 5, 12, 20):
+        # Newton orders double 1 -> 3 -> 7 -> 15 -> 31 -> 63, and the last
+        # round is cut to `terms`: 3, 4, 7, 8, ... sit on either side of a cut
+        for terms in (1, 2, 3, 4, 5, 7, 8, 12, 15, 16, 20, 31, 32, 33, 40, 64):
             assert fixed_point(terms) == closed_form(terms)
+
+    def test_right_side_evaluations_grow_with_bit_length(self, monkeypatch):
+        calls = []
+        rhs = series._rhs
+
+        def spy(f, x):
+            calls.append(f.order)
+            return rhs(f, x)
+
+        monkeypatch.setattr(series, "_rhs", spy)
+        fixed_point(200)
+        assert len(calls) <= (200).bit_length() + 2, calls
+
+    def test_exit_needs_a_zero_residual(self, monkeypatch):
+        # a slope of -1 turns the Newton step back into f <- rhs(f), one
+        # coefficient per round: the round limit must stop it, never a return
+        monkeypatch.setattr(series, "_slope", lambda f, x: PowerSeries.constant(-1, f.order))
+        with pytest.raises(AssertionError, match="did not settle"):
+            fixed_point(40)
 
 
 class TestComponents:
