@@ -2,7 +2,8 @@
 
 A `ClassSpec` is a canonical text, one membership oracle on value tuples
 (`member_values`) and a `closed` flag; its fingerprint, a cache key, is a
-hash of the text.  Machine specs use the kind's search (`machines.decider`)
+hash of the text.  Machine specs use the kind's decision
+(`machines.decider`, which for SP and SQP is the PQS search on the dual)
 and basis specs `avoids_values` over their pattern tuples; both oracles
 are module-level functions or partials of them, so they pickle.
 Predicate specs wrap the tuple in a Permutation for their predicate.

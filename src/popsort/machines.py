@@ -19,9 +19,11 @@ the raw move semantics: each legal move with the state it leads to.
 `replay` runs a move sequence through it, and `is_sortable_unpruned` is
 the slow reference search over the graph it spans, used to validate the
 pruning.
-`is_sortable`/`sorting_witness` run a pruned depth-first search over
-configurations; `decider` hands out the same search as a decision on value
-tuples, for callers that build candidates by construction.
+`sorting_witness` runs the kind's pruned depth-first search over
+configurations.  `is_sortable` and `decider` (the same decision on value
+tuples, for callers that build candidates by construction) run that search
+too, except for SP and SQP: the two sort one class, the duals of the
+PQS-sortable permutations, and both decide by the PQS search on the dual.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional
 
 from .divided import DividedPattern, exists_division_avoiding, parse_divided
-from .perms import Permutation, avoids, identity, parse
+from .perms import Permutation, avoids, dual_values, identity, parse
 
 
 class MachineKind(Enum):
@@ -204,26 +206,23 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 #   B. x > lo and x > cap, cap the least stack value above lo: x lands
 #      above cap, which still waits for lo.
 #
-# A decision may force a move that commutes with every alternative, while
-# a witness keeps the move order: with `rec` None, SQP takes a legal
-# dequeue at once.  The pop stack is fed only by the queue front, INPUT
-# and PUSH_ONE leave the front and the pop stack alone, and no rule of
-# theirs reads either, so any success that dequeues later dequeues the
-# same front into the same pop stack and may do it first.
+# SP and SQP sort the same class, and SP sorts p iff PQS sorts its dual,
+# so their decisions run the cheaper PQS search on the dual
+# (`_solve_pqs_of_dual`).  Their own searches run only for witnesses.
 #
 # Every pruned search keys its memo on its machine configuration.  PQS's
 # (lo, hi, cap) and SQP's (lo, top, last) are functions of that
 # configuration, so the keys omit them.
 #
 # `is_sortable_unpruned` explores the raw move graph, edge by edge from
-# `successors`, and is compared against these searches by the test suite.
+# `successors`, and is compared against `is_sortable` by the test suite.
 #
 # Witnesses are recorded on the way back up.  A branch appends to `rec`
 # only once the child it leads to has returned True: the forced moves it
 # applied, last first, then its own move.  `rec` therefore holds the
 # witness back to front and `sorting_witness` reverses it once; a failed
-# branch leaves nothing to roll back.  With `rec` None, its default (a
-# decision), no list is touched.
+# branch leaves nothing to roll back.  With `rec` None, a decision, no list
+# is touched; SP and SQP always record.
 #
 # Each recursive `dfs` refers to itself, a reference cycle that would keep
 # its `failed` memo alive until the cyclic garbage collector runs; the
@@ -405,7 +404,7 @@ def _run_buried(stack: tuple[int, ...], b: int) -> bool:
     return any(v < b for v in stack[:k])
 
 
-def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
+def _solve_sp(p: tuple[int, ...], rec: list[Move]) -> bool:
     n = len(p)
     failed: set[tuple] = set()
 
@@ -418,18 +417,16 @@ def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
             return False
         if (i < n and not _input_dead(stack, p[i], pop[-1] if pop else 0)
                 and dfs(i + 1, stack + (p[i],), pop, nn)):
-            if rec is not None:
-                rec.append(Move.INPUT)
+            rec.append(Move.INPUT)
             return True
         if stack and (stack[-1] == pop[-1] - 1 if pop
                       else stack[-1] == nn or not _run_buried(stack[:-1], stack[-1])):
             x = stack[-1]
             run, out = ((), nn + len(pop) + 1) if x == nn else (pop + (x,), nn)
             if dfs(i, stack[:-1], run, out):
-                if rec is not None:
-                    if out > nn:
-                        rec.append(Move.FLUSH_OUTPUT)
-                    rec.append(Move.PUSH_ONE)
+                if out > nn:
+                    rec.append(Move.FLUSH_OUTPUT)
+                rec.append(Move.PUSH_ONE)
                 return True
         failed.add(key)
         return False
@@ -440,7 +437,7 @@ def _solve_sp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
         del dfs
 
 
-def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
+def _solve_sqp(p: tuple[int, ...], rec: list[Move]) -> bool:
     n = len(p)
     failed: set[tuple] = set()
 
@@ -454,14 +451,11 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
         key = (i, stack, queue, pop, nn)
         if key in failed:
             return False
-        dequeue = queue and (not pop or queue[0] == pop[-1] - 1)
-        forced = dequeue and rec is None
-        if (not forced and i < n and not _input_dead(stack, p[i], last)
+        if (i < n and not _input_dead(stack, p[i], last)
                 and dfs(i + 1, stack + (p[i],), queue, pop, nn, lo, top, last)):
-            if rec is not None:
-                rec.append(Move.INPUT)
+            rec.append(Move.INPUT)
             return True
-        if not forced and stack and (
+        if stack and (
                 stack[-1] == last - 1 if last
                 else stack[-1] == lo or not _run_buried(stack[:-1], stack[-1])):
             x = stack[-1]
@@ -469,17 +463,15 @@ def _solve_sqp(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
             # pushing lo closes the run
             runs = (run_top + 1, 0, 0) if x == lo else (lo, run_top, x)
             if dfs(i, stack[:-1], queue + (x,), pop, nn, *runs):
-                if rec is not None:
-                    rec.append(Move.PUSH_ONE)
+                rec.append(Move.PUSH_ONE)
                 return True
-        if dequeue:
+        if queue and (not pop or queue[0] == pop[-1] - 1):
             x = queue[0]
             run, out = ((), nn + len(pop) + 1) if x == nn else (pop + (x,), nn)
             if dfs(i, stack, queue[1:], run, out, lo, top, last):
-                if rec is not None:
-                    if out > nn:
-                        rec.append(Move.FLUSH_OUTPUT)
-                    rec.append(Move.DEQUEUE)
+                if out > nn:
+                    rec.append(Move.FLUSH_OUTPUT)
+                rec.append(Move.DEQUEUE)
                 return True
         failed.add(key)
         return False
@@ -524,6 +516,11 @@ def _solve_di(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
         del dfs
 
 
+def _solve_pqs_of_dual(p: tuple[int, ...]) -> bool:
+    """The SP and SQP decision: PQS sorts the dual of p iff SP does p."""
+    return _solve_pqs(dual_values(p))
+
+
 _SOLVERS = {
     MachineKind.S: _solve_s,
     MachineKind.PS: _solve_ps,
@@ -533,17 +530,24 @@ _SOLVERS = {
     MachineKind.DI: _solve_di,
 }
 
+_DECIDERS = {
+    **_SOLVERS,
+    MachineKind.SP: _solve_pqs_of_dual,
+    MachineKind.SQP: _solve_pqs_of_dual,
+}
+
 
 def decider(kind: MachineKind) -> Callable[[tuple[int, ...]], bool]:
-    """The kind's search as a decision on value tuples: `decider(kind)(v)`
-    is `is_sortable(kind, Permutation(v))`, with no Permutation built.  The
+    """`is_sortable(kind, Permutation(v))` on value tuples, with no
+    Permutation built: the kind's own search, except that SP and SQP,
+    which sort the same class, both run the PQS search on the dual.  The
     caller vouches that v is a bijection on 1..len(v)."""
-    return _SOLVERS[kind]
+    return _DECIDERS[kind]
 
 
 def is_sortable(kind: MachineKind, p: Permutation) -> bool:
     """True iff some move sequence of the machine outputs 1, ..., n."""
-    return _SOLVERS[kind](p.values)
+    return _DECIDERS[kind](p.values)
 
 
 def sorting_witness(kind: MachineKind, p: Permutation) -> Optional[list[Move]]:

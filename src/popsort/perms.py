@@ -67,16 +67,8 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def dual(self) -> "Permutation":
-        """The two-stack dual, pi^d(i) = n+1 - pi^-1(n+1-i).
-
-        Computed straight from that formula; it coincides with
-        reverse(inverse(reverse(pi))), which the tests check independently.
-        """
-        n = len(self.values)
-        inv = [0] * n
-        for i, v in enumerate(self.values):
-            inv[v - 1] = i + 1
-        return Permutation(tuple(n + 1 - inv[n - i] for i in range(1, n + 1)))
+        """The two-stack dual (`dual_values`)."""
+        return Permutation(dual_values(self.values))
 
     def direct_sum(self, other: "Permutation") -> "Permutation":
         """alpha (+) beta: beta shifted above and after alpha."""
@@ -87,6 +79,19 @@ class Permutation:
         """alpha (-) beta: alpha shifted above and before beta."""
         m = len(other.values)
         return Permutation(tuple(v + m for v in self.values) + other.values)
+
+
+def dual_values(v: tuple[int, ...]) -> tuple[int, ...]:
+    """The two-stack dual of the bijection v, pi^d(i) = n+1 - pi^-1(n+1-i).
+
+    Computed straight from that formula; it coincides with
+    reverse(inverse(reverse(pi))), which the tests check independently.
+    """
+    n = len(v)
+    inv = [0] * n
+    for i, x in enumerate(v):
+        inv[x - 1] = i + 1
+    return tuple(n + 1 - inv[n - i] for i in range(1, n + 1))
 
 
 EMPTY = Permutation(())

@@ -249,10 +249,14 @@ def _chk_ps_triple(bound: int):
     return True, f"simulator == basis == division for n <= {bound}"
 
 
+# SP and SQP decide by the PQS search on the dual, so criterion 06 reads
+# their sortability off witness presence, which runs each kind's own search.
+
 @_check("sp-equals-sqp", fast=5, full=7, criterion="06")
 def _chk_sp_sqp(bound: int):
     for p in _perms_upto(bound):
-        if machines.is_sortable(MachineKind.SP, p) != machines.is_sortable(MachineKind.SQP, p):
+        if ((machines.sorting_witness(MachineKind.SP, p) is None)
+                != (machines.sorting_witness(MachineKind.SQP, p) is None)):
             return False, f"SP and SQP disagree on {p}"
     return True, f"SP == SQP for n <= {bound}"
 
@@ -260,7 +264,8 @@ def _chk_sp_sqp(bound: int):
 @_check("pqs-equals-sp-of-dual", fast=5, full=7, criterion="06")
 def _chk_pqs_dual(bound: int):
     for p in _perms_upto(bound):
-        if machines.is_sortable(MachineKind.PQS, p) != machines.is_sortable(MachineKind.SP, p.dual()):
+        sp_of_dual = machines.sorting_witness(MachineKind.SP, p.dual()) is not None
+        if machines.is_sortable(MachineKind.PQS, p) != sp_of_dual:
             return False, f"PQS vs SP-of-dual disagree on {p}"
     return True, f"PQS(p) == SP(dual(p)) for n <= {bound}"
 
@@ -306,7 +311,7 @@ def _chk_pruning(bound: int):
         for kind in MachineKind:
             if machines.is_sortable(kind, p) != machines.is_sortable_unpruned(kind, p):
                 return False, f"pruned vs unpruned disagree for {kind.name} on {p}"
-    return True, f"all six pruned searches match the raw move graph for n <= {bound}"
+    return True, f"all six decisions match the raw move graph for n <= {bound}"
 
 
 @_check("witnesses-replay-to-identity", fast=5, full=7, criterion="12")

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import random
-import sys
 
 import pytest
 from hypothesis import given
@@ -366,37 +365,12 @@ class TestAlternateRoutes:
 
 
 class TestSqpForcedDequeue:
-    """An SQP decision takes a legal dequeue at once; a witness does not."""
+    """The SQP decision, the PQS search on the dual, against the SQP raw
+    move graph beyond criterion 13's bound."""
 
     @given(perm_strategy(max_n=7))
     def test_decision_equals_unpruned(self, p):
         assert is_sortable(MachineKind.SQP, p) == is_sortable_unpruned(MachineKind.SQP, p)
-
-    @staticmethod
-    def checks_with_dequeue_pending(search, p):
-        """How many INPUT checks `search` makes on p while the queue front
-        may enter the pop stack, read off the calling search's locals."""
-        rule = machines._input_dead
-        pending = []
-
-        def spy(stack, x, b):
-            caller = sys._getframe(1).f_locals
-            queue, pop = caller["queue"], caller["pop"]
-            pending.append(bool(queue) and (not pop or queue[0] == pop[-1] - 1))
-            return rule(stack, x, b)
-
-        machines._input_dead = spy
-        try:
-            search(MachineKind.SQP, p)
-        finally:
-            machines._input_dead = rule
-        return sum(pending)
-
-    @pytest.mark.parametrize("text", ["213", "2143", "1324", "135246"])
-    def test_witness_keeps_move_order(self, text):
-        p = parse(text)
-        assert self.checks_with_dequeue_pending(sorting_witness, p) > 0
-        assert self.checks_with_dequeue_pending(is_sortable, p) == 0
 
 
 def buried(stack, b):
@@ -411,7 +385,8 @@ class TestDeadInputRules:
     """The two rules by which SP and SQP refuse an INPUT, the check of the
     push that opens a run which keeps rule 2 to the stack top, and the two
     rules by which PQS refuses an INPUT, each on a small permutation where
-    the search meets it."""
+    the search meets it.  SP and SQP decide by the PQS search on the dual,
+    so their own searches, and these spies, run through `sorting_witness`."""
 
     def test_input_dead(self):
         assert not machines._input_dead((), 2, 0)
@@ -472,7 +447,7 @@ class TestDeadInputRules:
         for name in ("_input_dead", "_run_buried"):
             monkeypatch.setattr(machines, name, spy(getattr(machines, name)))
         p = parse(text)
-        assert is_sortable(kind, p) == is_sortable_unpruned(kind, p) is True
+        assert (sorting_witness(kind, p) is not None) == is_sortable_unpruned(kind, p) is True
         assert refusal in refused
 
     @pytest.mark.parametrize("kind", [MachineKind.SP, MachineKind.SQP])
@@ -489,11 +464,10 @@ class TestDeadInputRules:
 
         machines._input_dead = spy
         try:
-            is_sortable(kind, p)
             sorting_witness(kind, p)
         finally:
             machines._input_dead = rule
-        assert all(seen)
+        assert all(seen) and (seen or not p.values)
 
     @given(perm_strategy(max_n=9))
     def test_sqp_open_run_is_a_function_of_input_and_stack(self, p):
@@ -512,10 +486,10 @@ class TestDeadInputRules:
 
         machines._input_dead = spy
         try:
-            is_sortable(MachineKind.SQP, p)
+            sorting_witness(MachineKind.SQP, p)
         finally:
             machines._input_dead = rule
-        assert all(seen)
+        assert all(seen) and (seen or not p.values)
 
     @staticmethod
     def pqs_refusals(p, check=None):
