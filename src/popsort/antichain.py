@@ -21,7 +21,9 @@ from .divided import (
 )
 from .perms import Permutation, contains, count_occurrences, delete_entry
 
-MAX_BASIS_ELEMENT_K = 4   # division searches stay desk-scale up to length 13
+# k = 8 (length 21) already checks in about half a second; the bound stays 4
+# because perfbench's `divisions` plan and the CLI's `--max-k` clamp read it.
+MAX_BASIS_ELEMENT_K = 4
 MAX_ANTICHAIN_K = 5
 
 

@@ -20,10 +20,24 @@ to test only the occurrences whose first entry is i: those starting
 further right were tested when their first entry was placed.  Pruning
 drops only subtrees without an avoiding division, so the first division
 found is the first in mask order.
+
+Patterns are tested by base, not one by one.  A divided pattern is its
+base plus its divider mask (bit j-1 set = divider after entry j), and an
+occurrence of the base in a divided host induces a mask the same way: bit
+j-1 is set when its entries j-1 and j lie in different host blocks.  Host
+block ids do not decrease along the host, so the occurrence is an
+occurrence of the divided pattern exactly when the two masks are equal.
+The search therefore groups its patterns by base, once per pattern set
+(the grouping is cached), and runs one backtracking scan per group that
+follows the group's masks through a table over mask prefixes: the
+antichain's eight patterns make two groups, the PQS set four and the PS
+set three.  div_contains is the one-mask group; div_avoids stays pattern
+by pattern, as a reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .perms import ParseError, Permutation, _neighbor_bounds, parse
@@ -88,53 +102,83 @@ def parse_divided(text: str) -> DividedPermutation:
     return DividedPermutation(base, tuple(dividers))
 
 
-def _prep_pattern(pat: DividedPermutation):
-    pv = pat.base.values
-    pb = pat.block_ids()
-    lo, hi = _neighbor_bounds(pv)
-    starts_block = tuple(j == 0 or pb[j] != pb[j - 1] for j in range(len(pv)))
-    return pv, lo, hi, starts_block
+def _divider_mask(d: DividedPermutation) -> int:
+    """Bit j-1 set iff the entries at 0-based positions j-1 and j lie in
+    different blocks."""
+    return sum(1 << (t - 1) for t in d.dividers)
 
 
-def _matcher(prep, hv: Sequence[int], hb: Sequence[int]) -> Callable[[Optional[int]], bool]:
-    """Containment test of one prepared pattern on raw values hv and
-    non-decreasing block ids hb.
+@lru_cache(maxsize=1024)
+def _prepare(base: tuple[int, ...], masks: frozenset[int]):
+    """The group of the divided patterns with this base and these masks.
 
-    Block ids are compared only with each other, so any non-negative
-    non-decreasing ids work.  The test reads hb when called, so a search
-    may change the block ids between calls.  Called with first, only
-    occurrences whose first entry is at position first count, and
-    positions before it are not read.
+    Returns (base, lo, hi, step).  Node 0 is the empty mask prefix; node u
+    of depth t stands for bits 0..t-1, and step[u] = (node if bit t is
+    clear, node if bit t is set), -1 where no mask of the group has that
+    prefix.  A node of depth len(base)-1 is a whole mask of the group.
     """
-    pv, lo, hi, starts_block = prep
+    lo, hi = _neighbor_bounds(base)
+    node: dict[tuple[int, int], int] = {(0, 0): 0}
+    for mask in sorted(masks):
+        for t in range(1, len(base)):
+            node.setdefault((t, mask & ((1 << t) - 1)), len(node))
+    step = [(-1, -1)] * len(node)
+    for (t, prefix), u in node.items():
+        step[u] = (node.get((t + 1, prefix), -1), node.get((t + 1, prefix | 1 << t), -1))
+    return base, lo, hi, tuple(step)
+
+
+@lru_cache(maxsize=256)
+def _groups(patterns: tuple[DividedPattern, ...]) -> tuple:
+    """The patterns grouped by base, in order of first appearance."""
+    masks: dict[tuple[int, ...], set[int]] = {}
+    for pat in patterns:
+        masks.setdefault(pat.base.values, set()).add(_divider_mask(pat))
+    return tuple(_prepare(base, frozenset(m)) for base, m in masks.items())
+
+
+def _matcher(group, hv: Sequence[int], hb: Sequence[int]) -> Callable[[Optional[int]], bool]:
+    """Containment test of one pattern group on raw values hv and
+    non-decreasing block ids hb: does some pattern of the group occur?
+
+    An occurrence of the base matches the pattern whose mask is the one it
+    induces: bit j-1 set iff its entries j-1 and j lie in different host
+    blocks.  Block ids are compared only with each other, so any
+    non-negative non-decreasing ids work.  The test reads hb when called,
+    so a search may change the block ids between calls.  Called with
+    first, only occurrences whose first entry is at position first count,
+    and positions before it are not read.
+    """
+    pv, lo, hi, step = group
     k, n = len(pv), len(hv)
     chosen = [0] * k
     cblock = [0] * k
 
-    def extend(j: int, start: int) -> bool:
+    def extend(j: int, start: int, node: int) -> bool:
+        # Place entry j >= 1; node is the mask prefix of entries 0..j-1.
+        same, new = step[node]
         bl, bh = lo[j], hi[j]
         vlo = chosen[bl] if bl >= 0 else 0
         vhi = chosen[bh] if bh >= 0 else n + 1
-        new_block = starts_block[j]
-        minb = cblock[j - 1] + 1 if (new_block and j) else 0
-        reqb = cblock[j - 1] if not new_block else -1
+        prev = cblock[j - 1]
         last = j + 1 == k
         for i in range(start, n - (k - j) + 1):
             b = hb[i]
-            if new_block:
-                if b < minb:
+            if b == prev:
+                nxt = same
+                if nxt < 0:
                     continue
-            elif b != reqb:
-                if b > reqb:
+            else:
+                nxt = new
+                if nxt < 0:
                     break  # host blocks only grow with position
-                continue
             v = hv[i]
             if vlo < v < vhi:
                 if last:
                     return True
                 chosen[j] = v
                 cblock[j] = b
-                if extend(j + 1, i + 1):
+                if extend(j + 1, i + 1, nxt):
                     return True
         return False
 
@@ -142,27 +186,26 @@ def _matcher(prep, hv: Sequence[int], hb: Sequence[int]) -> Callable[[Optional[i
         if k == 0:
             return True
         if first is None:
-            return k <= n and extend(0, 0)
+            return any(occurs(i) for i in range(n - k + 1))
         if k > n - first:
             return False
         # The first pattern entry has no value bounds and opens a block.
-        if k == 1:
-            return True
         chosen[0] = hv[first]
         cblock[0] = hb[first]
-        return extend(1, first + 1)
+        return k == 1 or extend(1, first + 1, 0)
 
     return occurs
 
 
 def div_contains(pattern: DividedPattern, host: DividedPermutation) -> bool:
     """True iff the divided pattern occurs in the divided host."""
-    return _matcher(_prep_pattern(pattern), host.base.values, host.block_ids())()
+    group = _prepare(pattern.base.values, frozenset((_divider_mask(pattern),)))
+    return _matcher(group, host.base.values, host.block_ids())()
 
 
 def div_avoids(host: DividedPermutation, patterns: Iterable[DividedPattern]) -> bool:
-    hv, hb = host.base.values, host.block_ids()
-    return not any(_matcher(_prep_pattern(p), hv, hb)() for p in patterns)
+    """True iff the host avoids every pattern, tested one pattern at a time."""
+    return not any(div_contains(p, host) for p in patterns)
 
 
 def _dividers_of_mask(mask: int, n: int) -> tuple[int, ...]:
@@ -185,14 +228,14 @@ def exists_division_avoiding(
     """First division of p (in all_divisions order) avoiding every pattern."""
     hv = p.values
     n = len(hv)
+    hb = [0] * n
+    matchers = [_matcher(group, hv, hb) for group in _groups(tuple(patterns))]
     if n == 0:
-        return DividedPermutation(p, ())
+        return None if any(occurs() for occurs in matchers) else DividedPermutation(p, ())
     # Place positions n-1 down to 0.  opened[i]: position i went into a new
     # block instead of joining the block of position i+1, i.e. divider i+1
     # is set.  Block ids fall by one per new block, from n-1 at the right
     # end, so they stay non-negative.
-    hb = [0] * n
-    matchers = [_matcher(_prep_pattern(pat), hv, hb) for pat in patterns]
     opened = [False] * n
     i = n - 1
     hb[i] = n - 1

@@ -21,7 +21,12 @@ from functools import cache
 from typing import Any, Callable, Iterable, NamedTuple
 
 from . import machines, series
-from .antichain import check_antichain, check_basis_element, in_avoidance_class
+from .antichain import (
+    check_antichain,
+    check_basis_element,
+    forbidden_divided_patterns,
+    in_avoidance_class,
+)
 from .classes import ClassSpec, compute_basis, count_by_length, simples_in_class, structural_member, wilf_table
 from .divided import (
     DividedPermutation,
@@ -225,6 +230,46 @@ def _chk_local_reversals(bound: int):
         if via_division != via_reversal:
             return False, f"local-reversal route disagrees on {p}"
     return True, f"divisions == local reversals from 231-avoiders for n <= {bound}"
+
+
+@_check("division-search-equals-naive-first-division", fast=4, full=5)
+def _chk_division_search(bound: int):
+    # The reference is the first division in all_divisions order that the
+    # naive oracle finds free of every pattern, so it shares neither the
+    # placement order nor the grouped matcher with the search.  The sets
+    # are the library's three, then every nonempty set of divisions of one
+    # base of length 2 or 3.
+    sets = [
+        DIVIDED_OBSTRUCTIONS[MachineKind.PS],
+        DIVIDED_OBSTRUCTIONS[MachineKind.PQS],
+        forbidden_divided_patterns(),
+    ]
+    for base in _perms_upto(3, start=2):
+        divisions = list(all_divisions(base))
+        for picks in itertools.product((False, True), repeat=len(divisions)):
+            if any(picks):
+                sets.append(tuple(itertools.compress(divisions, picks)))
+    patterns = list(dict.fromkeys(pat for pats in sets for pat in pats))
+    bit = {pat: 1 << t for t, pat in enumerate(patterns)}
+    set_bits = [sum(bit[pat] for pat in pats) for pats in sets]
+    for p in _perms_upto(bound):
+        divisions = list(all_divisions(p))
+        # hits[d]: the patterns that occur in division d, one bit each
+        hits = [
+            sum(bit[pat] for pat in patterns if naive_div_contains(pat, d))
+            for d in divisions
+        ]
+        for pats, bits in zip(sets, set_bits):
+            expected = next((d for d, h in zip(divisions, hits) if not h & bits), None)
+            if exists_division_avoiding(p, pats) != expected:
+                return False, (
+                    f"first division of {p} avoiding {[str(q) for q in pats]} "
+                    f"is not {expected}"
+                )
+    return True, (
+        f"search == first naive-avoiding division for {len(sets)} pattern sets "
+        f"({len(patterns)} patterns), hosts n <= {bound}"
+    )
 
 
 # -- machines ------------------------------------------------------------------

@@ -42,6 +42,7 @@ FAST_FLOORS = {
     "pqs-division-characterization": 6,
     "single-stack-sorts-iff-avoids-231": 6,
     "ps-sum-closure": 7,
+    "division-search-equals-naive-first-division": 4,
 }
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import perm_strategy
+from popsort import divided
 from popsort.antichain import forbidden_divided_patterns
 from popsort.divided import (
     DividedPermutation,
@@ -125,6 +126,54 @@ class TestExistsDivisionAvoiding:
 
     def test_empty_permutation(self):
         assert exists_division_avoiding(EMPTY, PS_PATTERNS) == DividedPermutation(EMPTY)
+
+    def test_empty_pattern_occurs_in_empty_host(self):
+        empty = DividedPermutation(EMPTY)
+        assert div_contains(empty, empty) and naive_div_contains(empty, empty)
+        assert exists_division_avoiding(EMPTY, [empty]) is None
+
+    @pytest.mark.parametrize("set_name,bases", [("antichain", 2), ("pqs", 4), ("ps", 3)])
+    def test_one_matcher_per_base(self, monkeypatch, set_name, bases):
+        built = []
+        matcher = divided._matcher
+
+        def spy(group, hv, hb):
+            built.append(group[0])
+            return matcher(group, hv, hb)
+
+        monkeypatch.setattr(divided, "_matcher", spy)
+        exists_division_avoiding(parse("31524"), PATTERN_SETS[set_name])
+        assert len(built) == len(set(built)) == bases
+
+    def test_pattern_set_prepared_once(self, monkeypatch):
+        prepared = []
+        prepare = divided._prepare
+
+        def spy(base, masks):
+            prepared.append(base)
+            return prepare(base, masks)
+
+        divided._groups.cache_clear()
+        monkeypatch.setattr(divided, "_prepare", spy)
+        pats = PATTERN_SETS["antichain"]
+        exists_division_avoiding(parse("2341"), pats)
+        assert sorted(prepared) == [(2, 3, 4, 1), (3, 1, 4, 2)]
+        exists_division_avoiding(parse("3142"), pats)
+        exists_division_avoiding(parse("3142"), list(pats))
+        assert len(prepared) == 2
+
+    def test_div_avoids_tests_pattern_by_pattern(self, monkeypatch):
+        tested = []
+        contains_one = divided.div_contains
+
+        def spy(pattern, host):
+            tested.append(pattern)
+            return contains_one(pattern, host)
+
+        monkeypatch.setattr(divided, "div_contains", spy)
+        pats = PATTERN_SETS["antichain"]
+        assert div_avoids(DividedPermutation(identity(6)), pats)
+        assert tested == list(pats)
 
     # Equal divided permutations of one base have equal dividers.
     @pytest.mark.parametrize("set_name", sorted(PATTERN_SETS))
