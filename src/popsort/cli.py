@@ -171,6 +171,8 @@ def _load_cache(path: Path) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read cache file {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise UsageError(f"cache file {path} is not valid JSON: {exc}") from exc
     version = data.get("format_version") if isinstance(data, dict) else None
     if version != CACHE_FORMAT_VERSION:
         raise UsageError(

@@ -27,9 +27,8 @@ PQS-sortable permutations, and both decide by the PQS search on the dual.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .divided import DividedPattern, exists_division_avoiding, parse_divided
 from .perms import Permutation, avoids, dual_values, identity, parse
@@ -69,8 +68,8 @@ def moves_to_text(moves: Iterable[Move]) -> str:
 
 def moves_from_text(kind: MachineKind, text: str) -> list[Move]:
     """Parse a comma-separated move string; the kind disambiguates F."""
-    flush = Move.FLUSH_OUTPUT if kind in (MachineKind.SP, MachineKind.SQP) else Move.FLUSH_POP
-    table = {"I": Move.INPUT, "F": flush, "P": Move.PUSH_ONE, "D": Move.DEQUEUE, "O": Move.OUTPUT}
+    other_flush = Move.FLUSH_POP if kind in (MachineKind.SP, MachineKind.SQP) else Move.FLUSH_OUTPUT
+    table = {token: move for move, token in _MOVE_TOKENS.items() if move is not other_flush}
     moves = []
     text = text.strip()
     if not text:
@@ -91,14 +90,14 @@ class IllegalMoveError(RuntimeError):
         super().__init__(f"illegal move {move.name} at step {step} in state {state}")
 
 
-@dataclass(frozen=True)
-class MachineState:
+class MachineState(NamedTuple):
     """A machine configuration.
 
     `pop`, `queue` and `stack` are tuples; the last element of a stack
     tuple is its top, the first element of the queue is its front.  For DI
     the `pop` field holds the first (decreasing) stack.  `next_needed` is
-    the smallest value not yet output.
+    the smallest value not yet output.  A plain tuple, so the raw move
+    graph builds and hashes states at tuple cost.
     """
 
     input_pos: int = 0
@@ -125,9 +124,7 @@ def successors(kind: MachineKind, p: tuple[int, ...],
     when they emit the next needed value (or, for SP/SQP, the run
     starting at it).
     """
-    i, pop, queue, stack, nn = (
-        state.input_pos, state.pop, state.queue, state.stack, state.next_needed,
-    )
+    i, pop, queue, stack, nn = state
     pop_last = kind in (MachineKind.SP, MachineKind.SQP)
     if pop_last:
         # Popping emits top to bottom; that must read nn, nn+1, ...

@@ -209,17 +209,18 @@ def avoids_values(pattern_values: Iterable[tuple[int, ...]], hv: tuple[int, ...]
     return not any(contains_values(pv, hv) for pv in pattern_values)
 
 
+def occurrences(pv: tuple[int, ...], hv: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The index tuples of hv whose values are order-isomorphic to pv, by
+    brute force over every index subset: the reference the backtracking
+    `contains_values` is checked against.  The empty pattern occurs once."""
+    for idx in itertools.combinations(range(len(hv)), len(pv)):
+        if pattern_of([hv[i] for i in idx]) == pv:
+            yield idx
+
+
 def count_occurrences(pattern: Permutation, host: Permutation) -> int:
     """Number of index subsets of host order-isomorphic to pattern."""
-    pv, hv = pattern.values, host.values
-    k = len(pv)
-    if k == 0:
-        return 1
-    return sum(
-        1
-        for idx in itertools.combinations(range(len(hv)), k)
-        if pattern_of([hv[i] for i in idx]) == pv
-    )
+    return sum(1 for _ in occurrences(pattern.values, host.values))
 
 
 def inflate(quotient: Permutation, parts: Sequence[Permutation]) -> Permutation:

@@ -38,8 +38,7 @@ FAST_FLOORS = {
     "contains-agrees-with-naive-oracle": (4, 6),
     "substitution-decomposition-roundtrip": 6,
     "undivided-div-contains-degenerates-to-contains": 5,
-    "pqs-division-equals-local-reversals": 6,
-    "pqs-division-characterization": 6,
+    "pqs-triple-characterization": 6,
     "single-stack-sorts-iff-avoids-231": 6,
     "ps-sum-closure": 7,
     "division-search-equals-naive-first-division": 4,

@@ -191,13 +191,17 @@ class TestCache:
         )
         assert code == 2
 
-    def test_non_object_cache_rejected(self, tmp_path):
+    @pytest.mark.parametrize("content", [b"[]", b"not json", b"\xff\xfe"])
+    def test_non_object_cache_rejected(self, tmp_path, capsys, content):
         cache = tmp_path / "counts.json"
-        cache.write_text("[]")
+        cache.write_bytes(content)
         code, _ = run_cli(
             "enumerate", "--machine", "ps", "--max-len", "3", "--cache", str(cache)
         )
+        err = capsys.readouterr().err
         assert code == 2
+        assert str(cache) in err and "Traceback" not in err
+        assert cache.read_bytes() == content
 
     def test_failed_save_keeps_old_cache(self, tmp_path, monkeypatch):
         cache = tmp_path / "counts.json"

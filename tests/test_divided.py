@@ -130,6 +130,7 @@ class TestExistsDivisionAvoiding:
     def test_empty_pattern_occurs_in_empty_host(self):
         empty = DividedPermutation(EMPTY)
         assert div_contains(empty, empty) and naive_div_contains(empty, empty)
+        assert naive_div_contains(empty, DividedPermutation(parse("21")))
         assert exists_division_avoiding(EMPTY, [empty]) is None
 
     @pytest.mark.parametrize("set_name,bases", [("antichain", 2), ("pqs", 4), ("ps", 3)])

@@ -20,6 +20,7 @@ from popsort.perms import (
     substitution_decompose,
     substitution_decompose_values,
 )
+from popsort.verify import naive_contains
 
 
 class TestParse:
@@ -83,6 +84,9 @@ class TestContainment:
     def test_empty_pattern_contained(self):
         assert contains(EMPTY, parse("21"))
         assert count_occurrences(EMPTY, parse("21")) == 1
+        assert count_occurrences(EMPTY, EMPTY) == 1
+        assert naive_contains(EMPTY, EMPTY)
+        assert naive_contains(EMPTY, parse("21"))
 
     @given(perm_strategy(max_n=7))
     def test_reflexive(self, p):
