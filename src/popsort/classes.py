@@ -1,10 +1,11 @@
 """Class-level computations: counting, basis mining, Wilf tables, simples.
 
-A `ClassSpec` is a canonical text, one membership oracle on value tuples
-(`member_values`) and a `closed` flag; its fingerprint, a cache key, is a
+A `ClassSpec` is a canonical text, a membership oracle on value tuples
+(`member_values`), the oracle the walk asks about a child
+(`child_member`) and a `closed` flag; its fingerprint, a cache key, is a
 hash of the text.  Machine specs use the kind's decision
 (`machines.decider`, which for SP and SQP is the PQS search on the dual)
-and basis specs `avoids_values` over their pattern tuples; both oracles
+and basis specs `avoids_values` over their pattern tuples; these oracles
 are module-level functions or partials of them, so they pickle.
 Predicate specs wrap the tuple in a Permutation for their predicate.
 
@@ -23,12 +24,23 @@ candidates of its parent, and the walk keeps no set of members.  A
 candidate is a bijection by construction, so the oracle gets it as it is
 and no Permutation is built per candidate.  Predicate-backed classes are
 not assumed closed and are counted by a scan of all n! permutations.
+
+A candidate's parent is a member, so a basis class's candidate made at
+site s contains a basis pattern only by an occurrence that maps the
+pattern's maximum onto position s: an occurrence that skips position s
+lies in the parent, and one that uses it maps the pattern's maximum
+there, since k + 1 is the largest entry.  So the walk asks
+`child_member(c, s)`, which basis specs answer by
+`perms.avoids_values_through`, a containment search anchored there.  By
+the same argument the division search tests only the occurrences that
+start at the entry it just placed.  Specs without an anchored test get
+`member_values` with s ignored.
 """
 from __future__ import annotations
 
 import hashlib
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence
@@ -36,9 +48,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import machines
 from .machines import MachineKind
 from .perms import (
+    EMPTY,
     Permutation,
     avoids,  # unused here, but perfbench's tracer wraps classes.avoids
     avoids_values,
+    avoids_values_through,
     is_simple_values,
     substitution_decompose_values,
 )
@@ -48,22 +62,40 @@ class MalformedOracleError(RuntimeError):
     """The membership oracle cannot describe a permutation class."""
 
 
+def _any_site(
+    member_values: Callable[[tuple[int, ...]], bool], vals: tuple[int, ...], s: int
+) -> bool:
+    """`member_values` as a walk oracle: the site of the maximum is unused."""
+    return member_values(vals)
+
+
 @dataclass(frozen=True)
 class ClassSpec:
-    """A canonical text, its membership oracle and a `closed` flag.
+    """A canonical text, its membership oracles and a `closed` flag.
 
     `member_values` is the oracle: it decides membership on a value tuple
     that the caller vouches is a bijection on 1..len, as the walks'
     candidates are by construction.  `member(p)` is that oracle on
-    `p.values`.  A `closed` spec describes a downward-closed class and is
-    walked; its oracle pickles, so `count_by_length` hands it to worker
-    processes as it is.  Predicate-backed specs are not closed and are
-    scanned serially.
+    `p.values`.  `child_member(vals, s)` is the oracle the walk asks about
+    a child, a member with its maximum inserted at site s; basis specs
+    test only the occurrences through that site, and a spec built without
+    one gets `member_values` with s ignored.  A `closed` spec describes a
+    downward-closed class and is walked; its oracles pickle, so
+    `count_by_length` hands the walk's to worker processes as it is.
+    Predicate-backed specs are not closed and are scanned serially.
     """
 
     canonical_text: str
     member_values: Callable[[tuple[int, ...]], bool]
     closed: bool = False
+    # Derived from the fields above, so equality and hashing ignore it.
+    child_member: Callable[[tuple[int, ...], int], bool] = field(  # type: ignore[assignment]
+        default=None, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.child_member is None:
+            object.__setattr__(self, "child_member", partial(_any_site, self.member_values))
 
     @property
     def fingerprint(self) -> str:
@@ -78,10 +110,14 @@ class ClassSpec:
     @staticmethod
     def from_basis(patterns: Iterable[Permutation]) -> "ClassSpec":
         pats = tuple(sorted(set(patterns), key=lambda p: (len(p), p.values)))
+        if EMPTY in pats:  # every permutation contains it: Av(ε) is empty
+            pats = (EMPTY,)
+        pvs = tuple(p.values for p in pats)
         return ClassSpec(
-            "basis:" + ";".join(str(p) for p in pats),
-            partial(avoids_values, tuple(p.values for p in pats)),
+            "basis:" + ";".join(str(p) or "()" for p in pats),
+            partial(avoids_values, pvs),
             closed=True,
+            child_member=partial(avoids_values_through, pvs),
         )
 
     @staticmethod
@@ -94,7 +130,7 @@ class ClassSpec:
 
 
 def _walk(
-    member_values: Callable[[tuple[int, ...]], bool],
+    child_member: Callable[[tuple[int, ...], int], bool],
     max_len: int,
     vals: tuple[int, ...] = (),
     sites: int = 1,
@@ -105,10 +141,11 @@ def _walk(
     Yields (values, candidates) for each member, where bit s of the
     candidate mask marks site s as one the member's children may use;
     `sites` is that mask for vals itself.  Candidates the oracle rejects
-    are appended to `rejected` when it is given.  The oracle takes value
-    tuples (`ClassSpec.member_values`): every candidate is a member with
-    k + 1 inserted, a bijection by construction, so none is validated.  It
-    must describe a downward-closed class.
+    are appended to `rejected` when it is given.  The oracle is
+    `ClassSpec.child_member`, asked about each candidate c with the site
+    s of its maximum: c is a member with k + 1 inserted, a bijection by
+    construction, so none is validated.  It must describe a
+    downward-closed class.
     """
     stack = [(vals, sites)] if len(vals) < max_len else []
     while stack:
@@ -120,7 +157,7 @@ def _walk(
         for s in range(k + 1):
             if cand >> s & 1:
                 c = v[:s] + top + v[s:]
-                if member_values(c):
+                if child_member(c, s):
                     active |= 1 << s
                     children.append((s, c))
                 elif rejected is not None:
@@ -136,14 +173,14 @@ def _walk(
 
 
 def _count_walk(
-    member_values: Callable[[tuple[int, ...]], bool],
+    child_member: Callable[[tuple[int, ...], int], bool],
     max_n: int,
     vals: tuple[int, ...] = (),
     sites: int = 1,
 ) -> list[int]:
     """Members below vals by length: entry k counts those of length k."""
     counts = [0] * (max_n + 1)
-    for v, _ in _walk(member_values, max_n, vals, sites):
+    for v, _ in _walk(child_member, max_n, vals, sites):
         counts[len(v)] += 1
     return counts
 
@@ -176,16 +213,16 @@ def count_by_length(spec: ClassSpec, max_n: int, jobs: int = 1) -> list[int]:
     if jobs > 1 and max_n > _PARTITION_LEN:
         counts = [0] * (max_n + 1)
         tasks = []
-        for v, sites in _walk(spec.member_values, _PARTITION_LEN):
+        for v, sites in _walk(spec.child_member, _PARTITION_LEN):
             counts[len(v)] += 1
             if len(v) == _PARTITION_LEN:
-                tasks.append((spec.member_values, max_n, v, sites))
+                tasks.append((spec.child_member, max_n, v, sites))
         if tasks:
             with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
                 for sub in pool.starmap(_count_walk, tasks):
                     counts = [a + b for a, b in zip(counts, sub)]
         return counts[1:]
-    return _count_walk(spec.member_values, max_n)[1:]
+    return _count_walk(spec.child_member, max_n)[1:]
 
 
 def count_members(spec: ClassSpec, n: int) -> int:
@@ -226,7 +263,7 @@ def compute_basis(spec: ClassSpec, max_len: int) -> list[Permutation]:
             "basis mining expects a class containing 1"
         )
     rejected: list[tuple[int, ...]] = []
-    for _ in _walk(spec.member_values, max_len, (1,), 0b11, rejected):
+    for _ in _walk(spec.child_member, max_len, (1,), 0b11, rejected):
         pass
     rejected.sort(key=_by_length)
     # Rejected candidates share deletions; each is put to the oracle once.
@@ -259,7 +296,7 @@ def simples_in_class(basis: Iterable[Permutation], max_len: int) -> list[Permuta
     sorted by (length, values).
     """
     spec = ClassSpec.from_basis(basis)
-    simples = [v for v, _ in _walk(spec.member_values, max_len) if is_simple_values(v)]
+    simples = [v for v, _ in _walk(spec.child_member, max_len) if is_simple_values(v)]
     simples.sort(key=_by_length)
     return [Permutation(v) for v in simples]
 

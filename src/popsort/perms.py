@@ -198,6 +198,52 @@ def contains_values(pv: tuple[int, ...], hv: tuple[int, ...]) -> bool:
     return extend(0, 0)
 
 
+def contains_values_through(pv: tuple[int, ...], hv: tuple[int, ...], s: int) -> bool:
+    """True iff pv occurs in hv by an occurrence that puts pv's maximum at
+    position s: the entries before the maximum are placed in hv[:s] and
+    those after it in hv[s+1:], under contains_values' value bounds.
+
+    When hv with entry s deleted avoids pv, this is containment of pv in hv.
+    The empty pattern has no maximum to anchor; it occurs in every host.
+    """
+    k, n = len(pv), len(hv)
+    if k == 0:
+        return True
+    m = pv.index(k)
+    if m > s or k - m > n - s:
+        return False
+    lo, hi = _neighbor_bounds(pv)
+    chosen = [0] * k
+    top = hv[s]
+
+    def extend(j: int, start: int) -> bool:
+        bl = lo[j]
+        vlo = chosen[bl] if bl >= 0 else 0
+        if j == m:
+            # The maximum has no entry above it to bound it.
+            if top <= vlo:
+                return False
+            if j + 1 == k:
+                return True
+            chosen[j] = top
+            return extend(j + 1, s + 1)
+        bh = hi[j]
+        vhi = chosen[bh] if bh >= 0 else n + 1
+        last = j + 1 == k
+        stop = s - m + j + 1 if j < m else n - k + j + 1
+        for i in range(start, stop):
+            v = hv[i]
+            if vlo < v < vhi:
+                if last:
+                    return True
+                chosen[j] = v
+                if extend(j + 1, i + 1):
+                    return True
+        return False
+
+    return extend(0, 0)
+
+
 def avoids(host: Permutation, patterns: Iterable[Permutation]) -> bool:
     """True iff host contains none of the given patterns."""
     return avoids_values((p.values for p in patterns), host.values)
@@ -207,6 +253,14 @@ def avoids_values(pattern_values: Iterable[tuple[int, ...]], hv: tuple[int, ...]
     """`avoids` on raw value tuples, patterns first so that
     `partial(avoids_values, patterns)` is a picklable oracle."""
     return not any(contains_values(pv, hv) for pv in pattern_values)
+
+
+def avoids_values_through(
+    pattern_values: Iterable[tuple[int, ...]], hv: tuple[int, ...], s: int
+) -> bool:
+    """`avoids_values` for a host whose entry s is the only one that can
+    complete an occurrence, as `contains_values_through` requires."""
+    return not any(contains_values_through(pv, hv, s) for pv in pattern_values)
 
 
 def occurrences(pv: tuple[int, ...], hv: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

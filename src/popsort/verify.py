@@ -399,7 +399,7 @@ def _chk_structural(bound: int):
     return True, f"shape recursion == avoidance of the three patterns for n <= {bound}"
 
 
-@_check("basis-mining-recovers-antichain-bases", fast=6, full=6)
+@_check("basis-mining-recovers-antichain-bases", fast=8, full=9)
 def _chk_basis_mining(bound: int):
     for texts in (("231",), ("2431", "3142", "3241")):
         target = sorted((parse(t) for t in texts), key=lambda p: (len(p), p.values))

@@ -42,6 +42,7 @@ FAST_FLOORS = {
     "single-stack-sorts-iff-avoids-231": 6,
     "ps-sum-closure": 7,
     "division-search-equals-naive-first-division": 4,
+    "basis-mining-recovers-antichain-bases": 8,
 }
 
 

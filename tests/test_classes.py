@@ -20,6 +20,7 @@ from popsort.classes import (
 )
 from popsort.machines import MachineKind, PS_BASIS, is_sortable, is_sortable_unpruned
 from popsort.perms import (
+    EMPTY,
     Permutation,
     all_perms,
     avoids,
@@ -101,6 +102,29 @@ class TestClassSpec:
             ("basis:2,3,1", "16262693fb76b38f"),
             ("predicate:structural", "1aa50fb082213b25"),
         ]
+
+    def test_equality_ignores_walk_oracle(self):
+        # child_member is derived from the other fields, so two specs of one
+        # machine, which share their decider, compare and hash equal.
+        a, b = ClassSpec.from_machine(MachineKind.PS), ClassSpec.from_machine(MachineKind.PS)
+        assert a.child_member is not b.child_member
+        assert a == b and hash(a) == hash(b)
+
+    def test_empty_pattern_has_its_own_text(self):
+        # Av() holds every permutation and Av(ε) none, so they must not
+        # share a text, and so a count-cache key.  A basis holding ε is ε.
+        everything = ClassSpec.from_basis([])
+        nothing = ClassSpec.from_basis([EMPTY])
+        assert everything.canonical_text == "basis:"
+        assert nothing.canonical_text == "basis:()"
+        assert ClassSpec.from_basis([parse("12"), EMPTY]).canonical_text == "basis:()"
+        assert everything.fingerprint != nothing.fingerprint
+        assert [count_members(everything, n) for n in range(0, 7)] == [1, 1, 2, 6, 24, 120, 720]
+        assert [count_members(nothing, n) for n in range(0, 7)] == [0] * 7
+        assert count_by_length(nothing, 6) == [0] * 6
+        assert compute_basis(everything, 4) == []
+        with pytest.raises(MalformedOracleError):
+            compute_basis(nothing, 4)
 
     def test_predicate_spec(self):
         spec = ClassSpec.from_predicate("increasing", lambda p: list(p) == sorted(p))
@@ -202,11 +226,12 @@ class TestWalkAgainstReferences:
         spec = ClassSpec.from_machine(kind)
         assert compute_basis(spec, 8) == level_basis(spec, 8)
 
-    @pytest.mark.parametrize(
-        "spec", [ClassSpec.from_machine(MachineKind.PQS), PS_BASIS_SPEC], ids=str
-    )
-    def test_jobs_split_by_subtree(self, spec):
-        assert count_by_length(spec, 7, jobs=2) == count_by_length(spec, 7)
+    @pytest.mark.parametrize("spec, max_n", [
+        pytest.param(spec, max_n, id=str(spec))
+        for spec, max_n in ((ClassSpec.from_machine(MachineKind.PQS), 7), (PS_BASIS_SPEC, 8))
+    ])
+    def test_jobs_split_by_subtree(self, spec, max_n):
+        assert count_by_length(spec, max_n, jobs=2) == count_by_length(spec, max_n)
 
     def test_basis_to_length_one_is_empty(self):
         assert compute_basis(ClassSpec.from_basis([parse("12")]), 1) == []
@@ -243,18 +268,26 @@ REFERENCES = [
 
 
 class TestValuesOracle:
-    """`member_values` is what the walks call, on tuples they never validate."""
+    """`child_member` and `member_values` are what the walks call, on tuples
+    they never validate."""
 
     @pytest.mark.parametrize("spec", WALKED_SPECS, ids=str)
     def test_walk_hands_over_bijections(self, spec):
-        handed = []
-        spy = ClassSpec(spec.canonical_text,
-                        lambda vals: handed.append(vals) or spec.member_values(vals),
-                        closed=True)
+        handed, children = [], []
+        spy = ClassSpec(
+            spec.canonical_text,
+            lambda vals: handed.append(vals) or spec.member_values(vals),
+            closed=True,
+            child_member=lambda vals, s: (
+                children.append((vals, s)) or spec.child_member(vals, s)
+            ),
+        )
         count_by_length(spy, 7)
         compute_basis(spy, 7)
-        assert handed
-        for vals in handed:
+        assert handed and children
+        for vals, s in children:
+            assert vals[s] == len(vals), (vals, s)
+        for vals in handed + [vals for vals, _ in children]:
             assert type(vals) is tuple
             assert sorted(vals) == list(range(1, len(vals) + 1)), vals
 
@@ -267,10 +300,14 @@ class TestValuesOracle:
 
     @pytest.mark.parametrize("spec", WALKED_SPECS, ids=str)
     def test_oracle_pickles(self, spec):
-        # Worker processes of count_by_length receive the oracle itself.
+        # Worker processes of count_by_length receive the walk's oracle itself.
         oracle = pickle.loads(pickle.dumps(spec.member_values))
-        for vals in (v for n in range(7) for v in itertools.permutations(range(1, n + 1))):
+        child = pickle.loads(pickle.dumps(spec.child_member))
+        for vals in (v for n in range(1, 7) for v in itertools.permutations(range(1, n + 1))):
+            s = vals.index(len(vals))
             assert oracle(vals) == spec.member_values(vals), vals
+            assert child(vals, s) == spec.child_member(vals, s), vals
+        assert oracle(()) == spec.member_values(())
 
     @pytest.mark.parametrize("spec", WALKED_SPECS, ids=str)
     def test_count_builds_no_permutation(self, spec, monkeypatch):
@@ -287,20 +324,47 @@ class TestValuesOracle:
 
 
 @st.composite
-def grown_member(draw, kind, max_n=10):
+def grown_member(draw, member, max_n=10):
     """A member grown from the empty permutation by inserting the maximum at
-    a random site, among all sites that keep it sortable."""
+    a random site, among all sites that keep it a member; growth stops
+    early when no site does."""
     vals = ()
     for k in range(draw(st.integers(0, max_n))):
         top = (k + 1,)
         sites = [
-            s
-            for s in range(k + 1)
-            if is_sortable(kind, Permutation(vals[:s] + top + vals[s:]))
+            s for s in range(k + 1) if member(Permutation(vals[:s] + top + vals[s:]))
         ]
+        if not sites:
+            break
         s = draw(st.sampled_from(sites))
         vals = vals[:s] + top + vals[s:]
     return Permutation(vals)
+
+
+@st.composite
+def patterns(draw, max_k=5):
+    """A pattern of length 1..max_k whose maximum is first, last or at a
+    random index."""
+    k = draw(st.integers(1, max_k))
+    vals = list(draw(st.permutations(range(1, k))))
+    vals.insert(draw(st.sampled_from([0, k - 1, draw(st.integers(0, k - 1))])), k)
+    return Permutation(tuple(vals))
+
+
+class TestChildMember:
+    """The walk's oracle on a child equals the full oracle: a basis spec
+    tests only the occurrences through the inserted maximum, which is
+    exact because the parent avoids every pattern."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_member_values_on_children_of_members(self, data):
+        spec = ClassSpec.from_basis(data.draw(st.lists(patterns(), max_size=3)))
+        v = data.draw(grown_member(spec.member)).values
+        top = (len(v) + 1,)
+        for s in range(len(v) + 1):
+            c = v[:s] + top + v[s:]
+            assert spec.child_member(c, s) == spec.member_values(c), (spec, c, s)
 
 
 class TestDownwardClosure:
@@ -311,7 +375,7 @@ class TestDownwardClosure:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_grown_members(self, kind, data):
-        p = data.draw(grown_member(kind))
+        p = data.draw(grown_member(partial(is_sortable, kind)))
         assert is_sortable(kind, p)
         for d in one_entry_deletions(p):
             assert is_sortable(kind, d), (p, d)

@@ -9,11 +9,13 @@ from popsort.perms import (
     Permutation,
     all_perms,
     contains,
+    contains_values_through,
     count_occurrences,
     delete_entry,
     identity,
     inflate,
     is_simple,
+    occurrences,
     parallel_alternation,
     parse,
     pattern_of,
@@ -96,6 +98,32 @@ class TestContainment:
     def test_deletion_is_contained(self, p):
         for pos in range(1, len(p) + 1):
             assert contains(delete_entry(p, pos), p)
+
+
+class TestContainmentThrough:
+    """`contains_values_through`: occurrences that put the pattern's maximum
+    at one host position, the test the basis-class walks run."""
+
+    def test_examples(self):
+        # 3142 occurs in 351642 as 3,1,6,2, 5,1,6,4 and 5,1,6,2, with the 6
+        # at position 3, and as 3,1,4,2, with the 4 at position 4.
+        hv = parse("351642").values
+        assert [s for s in range(6) if contains_values_through((3, 1, 4, 2), hv, s)] == [3, 4]
+        assert contains_values_through((1,), (2, 1), 1)
+        assert contains_values_through((1, 2), (1, 2), 1)
+        assert not contains_values_through((1, 2), (1, 2), 0)
+        assert not contains_values_through((1, 2), (2, 1), 0)
+
+    def test_empty_pattern_contained(self):
+        assert contains_values_through((), (1,), 0)
+
+    @given(perm_strategy(max_n=5, min_n=1), perm_strategy(max_n=9, min_n=1))
+    def test_equals_anchored_occurrences(self, pattern, host):
+        pv, hv = pattern.values, host.values
+        m = pv.index(len(pv))
+        anchored = {idx[m] for idx in occurrences(pv, hv)}
+        for s in range(len(hv)):
+            assert contains_values_through(pv, hv, s) == (s in anchored), s
 
 
 class TestSymmetries:
