@@ -86,9 +86,10 @@ class ClassSpec:
     """
 
     canonical_text: str
-    member_values: Callable[[tuple[int, ...]], bool]
+    # A spec is its canonical text: equality and hashing ignore the oracles,
+    # which compare by identity (`from_basis` builds new partials each call).
+    member_values: Callable[[tuple[int, ...]], bool] = field(compare=False)
     closed: bool = False
-    # Derived from the fields above, so equality and hashing ignore it.
     child_member: Callable[[tuple[int, ...], int], bool] = field(  # type: ignore[assignment]
         default=None, compare=False
     )

@@ -207,19 +207,33 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 # so their decisions run the cheaper PQS search on the dual
 # (`_solve_pqs_of_dual`).  Their own searches run only for witnesses.
 #
-# Every pruned search keys its memo on its machine configuration.  PQS's
-# (lo, hi, cap) and SQP's (lo, top, last) are functions of that
-# configuration, so the keys omit them.
+# PS and PQS search block by block.  A run of either cuts the input into
+# blocks, one per flush, and their `dfs(j, stack, nn)` runs only at a
+# block boundary j: pop stack and queue empty, every forced output taken.
+# There (stack, nn) is a function of j.  The outputs 1..nn-1 were all
+# read, and the stack holds the other values of p[:j], strictly
+# decreasing towards its top; a read nn would be its top and be output,
+# so nn = mex(p[:j]) and the stack holds the values of p[:j] above nn,
+# largest at the bottom.  So `failed` is a set of boundaries, and a block
+# grows in a loop: from j to its longest admissible end m (PS: while the
+# input increases; PQS: while `_pqs_block` admits the next entry).  The
+# blocks p[j:i] are then tried for i = m down to j + 1, longest first,
+# which prefers INPUT to a flush as `successors` orders them.
+#
+# SP, SQP and DI key their memo on their machine configuration.  SQP's
+# (lo, top, last) is a function of that configuration, so its key omits
+# it.
 #
 # `is_sortable_unpruned` explores the raw move graph, edge by edge from
 # `successors`, and is compared against `is_sortable` by the test suite.
 #
 # Witnesses are recorded on the way back up.  A branch appends to `rec`
 # only once the child it leads to has returned True: the forced moves it
-# applied, last first, then its own move.  `rec` therefore holds the
-# witness back to front and `sorting_witness` reverses it once; a failed
-# branch leaves nothing to roll back.  With `rec` None, a decision, no list
-# is touched; SP and SQP always record.
+# applied, last first, then its own move (PS and PQS: the flush, then the
+# block's INPUTs).  `rec` therefore holds the witness back to front and
+# `sorting_witness` reverses it once; a failed branch leaves nothing to
+# roll back.  With `rec` None, a decision, no list is touched; SP and SQP
+# always record.
 #
 # Each recursive `dfs` refers to itself, a reference cycle that would keep
 # its `failed` memo alive until the cyclic garbage collector runs; the
@@ -252,35 +266,36 @@ def _solve_s(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
 
 def _solve_ps(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     n = len(p)
-    failed: set[tuple] = set()
+    failed: set[int] = set()
 
-    def dfs(i: int, j: int, stack: tuple[int, ...], nn: int) -> bool:
-        # pop stack = p[j:i], oldest first
+    def dfs(j: int, stack: tuple[int, ...], nn: int) -> bool:
+        # a block boundary: (stack, nn) is a function of j
         if nn > n:
             return True
-        key = (i, j, stack, nn)
-        if key in failed:
+        if j in failed:
             return False
-        if i < n and (j == i or p[i] > p[i - 1]) and dfs(i + 1, j, stack, nn):
-            if rec is not None:
-                rec.append(Move.INPUT)
-            return True
-        if j < i and (not stack or p[i - 1] < stack[-1]):
+        m = j + 1  # the block p[j:i] must increase, so i <= m
+        while m < n and p[m] > p[m - 1]:
+            m += 1
+        for i in range(m, j, -1):
+            if stack and p[i - 1] > stack[-1]:
+                continue
             st = stack + p[j:i][::-1]
             out = nn
             while st and st[-1] == out:
                 st = st[:-1]
                 out += 1
-            if dfs(i, i, st, out):
+            if dfs(i, st, out):
                 if rec is not None:
                     rec.extend((Move.OUTPUT,) * (out - nn))
                     rec.append(Move.FLUSH_POP)
+                    rec.extend((Move.INPUT,) * (i - j))
                 return True
-        failed.add(key)
+        failed.add(j)
         return False
 
     try:
-        return dfs(0, 0, (), 1)
+        return dfs(0, (), 1)
     finally:
         del dfs
 
@@ -294,24 +309,23 @@ def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     # interleaved with the forced outputs, and the queue is empty at every
     # branch point.
     n = len(p)
-    failed: set[tuple] = set()
+    failed: set[int] = set()
 
-    def dfs(i: int, j: int, stack: tuple[int, ...], nn: int,
-            block: tuple[int, int, int]) -> bool:
-        # pop stack = p[j:i], oldest first; queue empty.  block = (lo, hi,
-        # cap) of p[j:i] when j < i (see `_pqs_block`).
+    def dfs(j: int, stack: tuple[int, ...], nn: int) -> bool:
+        # a block boundary: (stack, nn) is a function of j
         if nn > n:
             return True
-        key = (i, j, stack, nn)
-        if key in failed:
+        if j in failed:
             return False
-        if i < n:
-            grown = _pqs_block(p, i, j, stack, block)
-            if grown and dfs(i + 1, j, stack, nn, grown):
-                if rec is not None:
-                    rec.append(Move.INPUT)
-                return True
-        if j < i:
+        m = j  # the blocks p[j:i] that rules A and B admit have i <= m
+        block = (0, 0, 0)
+        while m < n:
+            grown = _pqs_block(p, m, j, stack, block)
+            if grown is None:
+                break
+            block = grown
+            m += 1
+        for i in range(m, j, -1):
             st = stack
             out = nn
             drain: list[Move] | None = [] if rec is not None else None
@@ -328,16 +342,17 @@ def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
                     if drain is not None:
                         drain.append(Move.OUTPUT)
             else:
-                if dfs(i, i, st, out, (0, 0, 0)):
+                if dfs(i, st, out):
                     if drain is not None:
                         rec.extend(reversed(drain))
                         rec.append(Move.FLUSH_POP)
+                        rec.extend((Move.INPUT,) * (i - j))
                     return True
-        failed.add(key)
+        failed.add(j)
         return False
 
     try:
-        return dfs(0, 0, (), 1, (0, 0, 0))
+        return dfs(0, (), 1)
     finally:
         del dfs
 

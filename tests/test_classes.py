@@ -110,6 +110,16 @@ class TestClassSpec:
         assert a.child_member is not b.child_member
         assert a == b and hash(a) == hash(b)
 
+    def test_specs_of_one_basis_are_equal(self):
+        # A spec is its canonical text: each from_basis call builds fresh
+        # oracles, and the specs still compare, hash and dedupe as one.
+        a, b = ClassSpec.from_basis([parse("231")]), ClassSpec.from_basis([parse("231")])
+        assert a.member_values is not b.member_values
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert ClassSpec.from_machine(MachineKind.PQS) == ClassSpec.from_machine(MachineKind.PQS)
+        assert a != ClassSpec.from_basis([parse("312")])
+        assert a != ClassSpec.from_basis([parse("231"), parse("312")])
+
     def test_empty_pattern_has_its_own_text(self):
         # Av() holds every permutation and Av(ε) none, so they must not
         # share a text, and so a count-cache key.  A basis holding ε is ε.

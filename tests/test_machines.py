@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -180,6 +181,62 @@ class TestMemoLifetime:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestBlockSearch:
+    """PS and PQS search from block boundaries only: the states with the
+    pop stack and the queue empty and no output pending."""
+
+    @pytest.mark.parametrize("kind", [MachineKind.PS, MachineKind.PQS])
+    def test_long_decreasing_input(self, kind):
+        # PS cuts n..1 into n blocks of one entry each, and one frame per
+        # block keeps 600 entries under Python's default recursion limit.
+        p = Permutation(tuple(range(600, 0, -1)))
+        assert replay(kind, p, sorting_witness(kind, p)) == identity(600)
+        assert is_sortable(kind, p)
+
+    @pytest.mark.parametrize("kind, tail", [
+        (MachineKind.PS, "2431"), (MachineKind.PQS, "243651"),  # basis elements
+    ])
+    def test_each_boundary_fails_once(self, kind, tail):
+        # 1..16, then an unsortable tail above it: every cut of the prefix
+        # reaches the same boundaries, so a search that re-expanded a failed
+        # boundary would make about 2**16 frames.  With the memo there is at
+        # most one frame per pair of boundaries, and one to start.
+        t = parse(tail).values
+        p = Permutation(tuple(range(1, 17)) + tuple(16 + v for v in t))
+        frames = 0
+
+        def count(frame, event, arg):
+            nonlocal frames
+            if event == "call" and frame.f_code.co_name == "dfs":
+                frames += 1
+
+        sys.setprofile(count)
+        try:
+            assert not is_sortable(kind, p)
+        finally:
+            sys.setprofile(None)
+        assert frames <= 1 + len(p) * (len(p) + 1) // 2
+
+    @pytest.mark.parametrize("kind", [MachineKind.PS, MachineKind.PQS])
+    @given(p=perm_strategy(max_n=9))
+    def test_boundary_state_is_a_function_of_the_boundary(self, kind, p):
+        # The memo keys a boundary by its input position alone.  There the
+        # outputs are 1..nn-1 with nn the least value not read, and the
+        # stack holds the other values read, largest at the bottom.
+        state = MachineState()
+        states = [state]
+        for move in sorting_witness(kind, p) or ():
+            state = dict(successors(kind, p.values, state))[move]
+            states.append(state)
+        for i, pop, queue, stack, nn in states:
+            if pop or queue or stack[-1:] == (nn,):
+                continue
+            read = set(p.values[:i])
+            mex = min(set(range(1, len(p) + 2)) - read)
+            assert nn == mex
+            assert stack == tuple(sorted((v for v in read if v > mex), reverse=True))
 
 
 class TestWitness:
