@@ -80,9 +80,12 @@ def _unnormalized_display(u: Permutation, position: int, witness: DividedPermuta
 @dataclass(frozen=True)
 class DeletionCheck:
     position: int
-    in_class: bool
     witness: Optional[DividedPermutation]
     unnormalized: Optional[str]
+
+    @property
+    def in_class(self) -> bool:
+        return self.witness is not None
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,6 @@ def check_basis_element(k: int) -> BasisElementReport:
         deletions.append(
             DeletionCheck(
                 position=position,
-                in_class=w is not None,
                 witness=w,
                 unnormalized=None if w is None else _unnormalized_display(u, position, w),
             )

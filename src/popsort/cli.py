@@ -19,7 +19,7 @@ from . import antichain as antichain_mod
 from . import machines, series
 from .classes import ClassSpec, compute_basis, count_by_length
 from .machines import PQS_BASIS_CONJECTURE_LEN, PQS_BASIS_CONJECTURED_COUNT, MachineKind
-from .perms import ParseError, parse
+from .perms import parse
 
 CACHE_FORMAT_VERSION = "1"
 
@@ -184,8 +184,10 @@ def _load_cache(path: Path) -> dict:
     if not isinstance(counts, dict):
         raise UsageError(f"cache file {path}: counts must be an object")
     for key, count in counts.items():
-        if type(count) is not int:
-            raise UsageError(f"cache file {path}: count {key!r} is not an integer")
+        if type(count) is not int or count < 0:
+            raise UsageError(
+                f"cache file {path}: count {key!r} is not a nonnegative integer"
+            )
     return data
 
 
@@ -430,6 +432,6 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise UsageError("--jobs must be >= 1")
         return args.fn(args, out)
-    except (UsageError, ParseError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -172,30 +172,7 @@ def contains(pattern: Permutation, host: Permutation) -> bool:
 
 def contains_values(pv: tuple[int, ...], hv: tuple[int, ...]) -> bool:
     """Containment test on raw value tuples (backtracking over positions)."""
-    k, n = len(pv), len(hv)
-    if k == 0:
-        return True
-    if k > n:
-        return False
-    lo, hi = _neighbor_bounds(pv)
-    chosen = [0] * k
-
-    def extend(j: int, start: int) -> bool:
-        bl, bh = lo[j], hi[j]
-        vlo = chosen[bl] if bl >= 0 else 0
-        vhi = chosen[bh] if bh >= 0 else n + 1
-        last = j + 1 == k
-        for i in range(start, n - (k - j) + 1):
-            v = hv[i]
-            if vlo < v < vhi:
-                if last:
-                    return True
-                chosen[j] = v
-                if extend(j + 1, i + 1):
-                    return True
-        return False
-
-    return extend(0, 0)
+    return _occurs(pv, hv, len(hv), len(pv))
 
 
 def contains_values_through(pv: tuple[int, ...], hv: tuple[int, ...], s: int) -> bool:
@@ -206,36 +183,36 @@ def contains_values_through(pv: tuple[int, ...], hv: tuple[int, ...], s: int) ->
     When hv with entry s deleted avoids pv, this is containment of pv in hv.
     The empty pattern has no maximum to anchor; it occurs in every host.
     """
+    return not pv or _occurs(pv, hv, s, pv.index(len(pv)))
+
+
+def _occurs(pv: tuple[int, ...], hv: tuple[int, ...], s: int, m: int) -> bool:
+    # The one backtracking search: does pv occur in hv with its entry m, the
+    # maximum, at host position s, entries before it in hv[:s] and those
+    # after it in hv[s+1:]?  The anchor m = len(pv), s = len(hv) lies past
+    # both ends, which leaves plain containment.
     k, n = len(pv), len(hv)
-    if k == 0:
-        return True
-    m = pv.index(k)
     if m > s or k - m > n - s:
         return False
     lo, hi = _neighbor_bounds(pv)
     chosen = [0] * k
-    top = hv[s]
 
     def extend(j: int, start: int) -> bool:
+        if j == k:
+            return True
         bl = lo[j]
         vlo = chosen[bl] if bl >= 0 else 0
         if j == m:
             # The maximum has no entry above it to bound it.
-            if top <= vlo:
+            if hv[s] <= vlo:
                 return False
-            if j + 1 == k:
-                return True
-            chosen[j] = top
+            chosen[j] = hv[s]
             return extend(j + 1, s + 1)
         bh = hi[j]
         vhi = chosen[bh] if bh >= 0 else n + 1
-        last = j + 1 == k
-        stop = s - m + j + 1 if j < m else n - k + j + 1
-        for i in range(start, stop):
+        for i in range(start, s - m + j + 1 if j < m else n - k + j + 1):
             v = hv[i]
             if vlo < v < vhi:
-                if last:
-                    return True
                 chosen[j] = v
                 if extend(j + 1, i + 1):
                     return True

@@ -8,7 +8,7 @@ entry holds a name, a fast bound, a full bound and a check that takes its
 bound and returns (ok, detail); the entries that state one of the paper's
 thirteen exit criteria also carry its id.  `popsort verify --suite fast`
 runs every entry at its fast bound (n <= 6 territory, about 2 s); `--suite
-all` runs the full bounds in about 75 s (2-vCPU host, Python 3.11.7).  The
+all` runs the full bounds in about 70 s (2-vCPU host, Python 3.11.7).  The
 acceptance tests run the criterion-tagged entries at their full bounds.
 """
 from __future__ import annotations

@@ -182,6 +182,7 @@ class TestCache:
         {"k:1": 2.9},
         {"k:1": True},
         {"k:1": "2"},
+        {"k:1": -1},
     ])
     def test_malformed_counts_rejected(self, tmp_path, counts):
         cache = tmp_path / "counts.json"

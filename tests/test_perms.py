@@ -9,6 +9,7 @@ from popsort.perms import (
     Permutation,
     all_perms,
     contains,
+    contains_values,
     contains_values_through,
     count_occurrences,
     delete_entry,
@@ -70,6 +71,7 @@ class TestContainment:
     def test_singleton_in_anything_nonempty(self):
         for p in (parse("1"), parse("21"), parse("24513")):
             assert contains(parse("1"), p)
+        assert not contains(parse("1"), EMPTY)
 
     def test_two_copies_host(self):
         assert contains(parse("2341"), parse("235174896"))
@@ -113,6 +115,8 @@ class TestContainmentThrough:
         assert contains_values_through((1, 2), (1, 2), 1)
         assert not contains_values_through((1, 2), (1, 2), 0)
         assert not contains_values_through((1, 2), (2, 1), 0)
+        # The anchored entry must exceed the entries placed before it.
+        assert not contains_values_through((1, 2), (2, 1), 1)
 
     def test_empty_pattern_contained(self):
         assert contains_values_through((), (1,), 0)
@@ -124,6 +128,7 @@ class TestContainmentThrough:
         anchored = {idx[m] for idx in occurrences(pv, hv)}
         for s in range(len(hv)):
             assert contains_values_through(pv, hv, s) == (s in anchored), s
+        assert contains_values(pv, hv) == bool(anchored)
 
 
 class TestSymmetries:
