@@ -173,6 +173,12 @@ def _walk(
                 stack.append((c, c_sites))
 
 
+def class_members(spec: ClassSpec, max_len: int) -> Iterator[tuple[int, ...]]:
+    """Value tuples of a closed spec's members of length 1..max_len, each
+    yielded once, in the order of the generating-tree walk."""
+    return (v for v, _ in _walk(spec.child_member, max_len))
+
+
 def _count_walk(
     child_member: Callable[[tuple[int, ...], int], bool],
     max_n: int,
@@ -296,8 +302,8 @@ def simples_in_class(basis: Iterable[Permutation], max_len: int) -> list[Permuta
     Walks the generating tree of Av(basis) and keeps its simple members,
     sorted by (length, values).
     """
-    spec = ClassSpec.from_basis(basis)
-    simples = [v for v, _ in _walk(spec.child_member, max_len) if is_simple_values(v)]
+    members = class_members(ClassSpec.from_basis(basis), max_len)
+    simples = [v for v in members if is_simple_values(v)]
     simples.sort(key=_by_length)
     return [Permutation(v) for v in simples]
 

@@ -270,28 +270,11 @@ def blockwise_reverse(d: DividedPermutation) -> Permutation:
     return Permutation(tuple(out))
 
 
-def reachable_by_local_reversals(
-    p: Permutation, membership: Callable[[tuple[int, ...]], bool]
-) -> bool:
-    """True iff some division of p blockwise-reverses into the given set.
+def local_reversal_image(perms: Iterable[Permutation]) -> set[Permutation]:
+    """Every blockwise reversal of every division of the given permutations.
 
-    Tries the divisions in all_divisions order, reversing the blocks of
-    each divider mask straight from p's values.  `membership` receives each
-    reversal as a value tuple, the values of `blockwise_reverse` of that
-    division; it is a bijection because p is, and is not validated again.
+    Blockwise reversal under one divider mask is an involution, so a
+    permutation of length n is in the image of a class's members of length
+    n exactly when some division of it blockwise-reverses into the class.
     """
-    v = p.values
-    n = len(v)
-    if n == 0:
-        return membership(v)
-    for mask in range(1 << (n - 1)):
-        out: list[int] = []
-        start = 0
-        for t in range(1, n):
-            if mask >> (t - 1) & 1:
-                out += v[start:t][::-1]
-                start = t
-        out += v[start:][::-1]
-        if membership(tuple(out)):
-            return True
-    return False
+    return {blockwise_reverse(d) for p in perms for d in all_divisions(p)}

@@ -31,7 +31,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .divided import DividedPattern, exists_division_avoiding, parse_divided
-from .perms import Permutation, avoids, dual_values, identity, parse
+from .perms import Permutation, dual_values, identity, parse
 
 
 class MachineKind(Enum):
@@ -607,7 +607,7 @@ def is_sortable_unpruned(kind: MachineKind, p: Permutation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The two non-simulation routes to PS/PQS sortability.
+# PS/PQS reference data and the division route to their sortability.
 # ---------------------------------------------------------------------------
 
 PS_BASIS: tuple[Permutation, ...] = (parse("2431"), parse("3142"), parse("3241"))
@@ -623,11 +623,6 @@ DIVIDED_OBSTRUCTIONS: dict[MachineKind, tuple[DividedPattern, ...]] = {
     MachineKind.PS: tuple(parse_divided(t) for t in ("21", "2|13", "2|3|1")),
     MachineKind.PQS: tuple(parse_divided(t) for t in ("132", "2|13", "32|1", "2|3|1")),
 }
-
-
-def is_sortable_ps_by_basis(p: Permutation) -> bool:
-    """PS sortability via avoidance of the three minimal unsortable patterns."""
-    return avoids(p, PS_BASIS)
 
 
 def is_sortable_by_division(kind: MachineKind, p: Permutation) -> bool:

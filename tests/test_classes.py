@@ -11,6 +11,7 @@ from popsort import classes
 from popsort.classes import (
     ClassSpec,
     MalformedOracleError,
+    class_members,
     compute_basis,
     count_by_length,
     count_members,
@@ -422,6 +423,16 @@ class TestWilfTable:
         assert wilf_table(specs, 4)[3] == (14, 21)
 
 
+class TestClassMembers:
+    @pytest.mark.parametrize("spec", [ClassSpec.from_machine(MachineKind.PQS), PS_BASIS_SPEC])
+    def test_each_member_once_counted_by_length(self, spec):
+        members = list(class_members(spec, 7))
+        assert len(set(members)) == len(members)
+        by_length = [sum(1 for v in members if len(v) == n) for n in range(1, 8)]
+        assert by_length == count_by_length(spec, 7)
+        assert all(spec.member_values(v) for v in members)
+
+
 class TestSimples:
     def test_no_simples_of_length_three(self):
         assert simples_in_class([parse("2431"), parse("3142")], 3) == [
@@ -468,10 +479,13 @@ def adjacent_swaps(draw, p):
 class TestStructuralMember:
     def test_figure_permutation(self):
         assert structural_member(parse("24513"))
+        assert avoids(parse("24513"), PS_BASIS)
+        assert avoids(identity(7), PS_BASIS)
 
     def test_basis_elements_rejected(self):
         for t in ("2431", "3142", "3241"):
             assert not structural_member(parse(t))
+            assert not avoids(parse(t), PS_BASIS)
 
     def test_alternation_inflation_with_decreasing_odd_part(self):
         # odd entries may be inflated by any member, including 21

@@ -14,8 +14,8 @@ from popsort.divided import (
     div_avoids,
     div_contains,
     exists_division_avoiding,
+    local_reversal_image,
     parse_divided,
-    reachable_by_local_reversals,
 )
 from popsort.machines import DIVIDED_OBSTRUCTIONS, MachineKind
 from popsort.perms import (
@@ -215,37 +215,26 @@ class TestBlockwiseReverse:
 
 
 class TestLocalReversals:
-    def avoids_231(self, q):
-        return not contains(parse("231"), Permutation(q))
+    @staticmethod
+    def image(n):
+        """The local reversals of the 231-avoiders of length n."""
+        return local_reversal_image(p for p in all_perms(n) if not contains(parse("231"), p))
 
     def test_3142_reachable(self):
-        assert reachable_by_local_reversals(parse("3142"), self.avoids_231)
+        assert parse("3142") in self.image(4)
 
     def test_identity_reachable(self):
-        assert reachable_by_local_reversals(Permutation((1, 2, 3, 4, 5)), self.avoids_231)
+        assert Permutation((1, 2, 3, 4, 5)) in self.image(5)
 
     def test_465132_not_reachable(self):
-        assert not reachable_by_local_reversals(parse("465132"), self.avoids_231)
+        assert parse("465132") not in self.image(6)
 
-    def test_tries_blockwise_reversals_in_division_order(self):
-        # The reference: blockwise_reverse of every all_divisions entry.
-        for n in range(0, 6):
-            for p in all_perms(n):
-                tried = []
-                assert not reachable_by_local_reversals(
-                    p, lambda q: tried.append(q) or False
-                )
-                assert tried == [blockwise_reverse(d).values for d in all_divisions(p)]
-
-    def test_stops_at_first_accepted_reversal(self):
-        p = parse("2413")
-        expected = [blockwise_reverse(d).values for d in all_divisions(p)]
-        for stop in range(len(expected)):
-            tried = []
-
-            def member(q):
-                tried.append(q)
-                return len(tried) == stop + 1
-
-            assert reachable_by_local_reversals(p, member)
-            assert tried == expected[: stop + 1]
+    def test_image_equals_per_permutation_reference(self):
+        # The reference: p is reachable when some division of p
+        # blockwise-reverses into a 231-avoider.
+        for n in range(0, 7):
+            reachable = {
+                p for p in all_perms(n)
+                if any(not contains(parse("231"), blockwise_reverse(d)) for d in all_divisions(p))
+            }
+            assert self.image(n) == reachable

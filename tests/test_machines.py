@@ -15,7 +15,6 @@ from popsort.machines import (
     Move,
     is_sortable,
     is_sortable_by_division,
-    is_sortable_ps_by_basis,
     is_sortable_unpruned,
     moves_from_text,
     moves_to_text,
@@ -406,11 +405,6 @@ class TestReplay:
 
 
 class TestAlternateRoutes:
-    def test_basis_route_examples(self):
-        assert is_sortable_ps_by_basis(parse("24513"))
-        assert not is_sortable_ps_by_basis(parse("2431"))
-        assert is_sortable_ps_by_basis(identity(7))
-
     def test_division_route_examples(self):
         assert is_sortable_by_division(MachineKind.PS, parse("24513"))
         assert not is_sortable_by_division(MachineKind.PQS, parse("465132"))
