@@ -1,29 +1,29 @@
 """Class-level computations: counting, basis mining, Wilf tables, simples.
 
 A `ClassSpec` is a canonical text, a membership oracle on value tuples
-(`member_values`), the oracle the walk asks about a child
-(`child_member`) and a `closed` flag; its fingerprint, a cache key, is a
-hash of the text.  Machine specs use the kind's decision
-(`machines.decider`, which for SP and SQP is the PQS search on the dual)
-and basis specs `avoids_values` over their pattern tuples; these oracles
-are module-level functions or partials of them, so they pickle.
-Predicate specs wrap the tuple in a Permutation for their predicate.
+(`member_values`) and the oracle the walk asks about a child
+(`child_member`); its fingerprint, a cache key, is a hash of the text.
+Machine specs use the kind's decision (`machines.decider`, which for SP
+and SQP is the PQS search on the dual), basis specs `avoids_values` over
+their pattern tuples, and predicate specs wrap the tuple in a
+Permutation for their predicate; these oracles are module-level
+functions or partials of them, so they pickle whenever the predicate
+does.
 
-Closed classes (machine and basis classes) are downward closed: deleting
-an entry of a member leaves a member.  They are counted and mined by a
-depth-first walk of the generating tree (West, 1995), in which a member
-of length k + 1 is the child of the member of length k left by deleting
-its maximum.  Inserting k + 1 into a member v of length k at site s
-(0 <= s <= k, the number of entries before it) gives a child when the
-oracle accepts it; the accepted sites are the active sites of v.  A
-member c made from v at site s can only have a child at site j when the
-matching site of v, j if j <= s else j - 1, is active: deleting k + 1
-from that child leaves v with the maximum at the matching site.  So each
-member is made once, by an oracle call on one of the |active(v)| + 1
-candidates of its parent, and the walk keeps no set of members.  A
-candidate is a bijection by construction, so the oracle gets it as it is
-and no Permutation is built per candidate.  Predicate-backed classes are
-not assumed closed and are counted by a scan of all n! permutations.
+Every spec describes a permutation class, which is downward closed:
+deleting an entry of a member leaves a member.  Classes are counted and
+mined by a depth-first walk of the generating tree (West, 1995), in
+which a member of length k + 1 is the child of the member of length k
+left by deleting its maximum.  Inserting k + 1 into a member v of length
+k at site s (0 <= s <= k, the number of entries before it) gives a child
+when the oracle accepts it; the accepted sites are the active sites of
+v.  A member c made from v at site s can only have a child at site j
+when the matching site of v, j if j <= s else j - 1, is active: deleting
+k + 1 from that child leaves v with the maximum at the matching site.
+So each member is made once, by an oracle call on one of the
+|active(v)| + 1 candidates of its parent, and the walk keeps no set of
+members.  A candidate is a bijection by construction, so the oracle gets
+it as it is and no Permutation is built per candidate.
 
 A candidate's parent is a member, so a basis class's candidate made at
 site s contains a basis pattern only by an occurrence that maps the
@@ -42,7 +42,6 @@ import hashlib
 import multiprocessing
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import machines
@@ -62,6 +61,11 @@ class MalformedOracleError(RuntimeError):
     """The membership oracle cannot describe a permutation class."""
 
 
+def _on_permutation(member: Callable[[Permutation], bool], vals: tuple[int, ...]) -> bool:
+    """A predicate on permutations as an oracle on value tuples."""
+    return member(Permutation(vals))
+
+
 def _any_site(
     member_values: Callable[[tuple[int, ...]], bool], vals: tuple[int, ...], s: int
 ) -> bool:
@@ -71,7 +75,7 @@ def _any_site(
 
 @dataclass(frozen=True)
 class ClassSpec:
-    """A canonical text, its membership oracles and a `closed` flag.
+    """A canonical text and its membership oracles.
 
     `member_values` is the oracle: it decides membership on a value tuple
     that the caller vouches is a bijection on 1..len, as the walks'
@@ -79,17 +83,16 @@ class ClassSpec:
     `p.values`.  `child_member(vals, s)` is the oracle the walk asks about
     a child, a member with its maximum inserted at site s; basis specs
     test only the occurrences through that site, and a spec built without
-    one gets `member_values` with s ignored.  A `closed` spec describes a
-    downward-closed class and is walked; its oracles pickle, so
-    `count_by_length` hands the walk's to worker processes as it is.
-    Predicate-backed specs are not closed and are scanned serially.
+    one gets `member_values` with s ignored.  The oracle must describe a
+    downward-closed class, since every count and basis is read off the
+    walk; when the oracles pickle, `count_by_length` hands the walk's to
+    worker processes as it is.
     """
 
     canonical_text: str
     # A spec is its canonical text: equality and hashing ignore the oracles,
     # which compare by identity (`from_basis` builds new partials each call).
     member_values: Callable[[tuple[int, ...]], bool] = field(compare=False)
-    closed: bool = False
     child_member: Callable[[tuple[int, ...], int], bool] = field(  # type: ignore[assignment]
         default=None, compare=False
     )
@@ -117,17 +120,16 @@ class ClassSpec:
         return ClassSpec(
             "basis:" + ";".join(str(p) or "()" for p in pats),
             partial(avoids_values, pvs),
-            closed=True,
             child_member=partial(avoids_values_through, pvs),
         )
 
     @staticmethod
     def from_machine(kind: MachineKind) -> "ClassSpec":
-        return ClassSpec(f"machine:{kind.value}", machines.decider(kind), closed=True)
+        return ClassSpec(f"machine:{kind.value}", machines.decider(kind))
 
     @staticmethod
     def from_predicate(name: str, member: Callable[[Permutation], bool]) -> "ClassSpec":
-        return ClassSpec(f"predicate:{name}", lambda vals: member(Permutation(vals)))
+        return ClassSpec(f"predicate:{name}", partial(_on_permutation, member))
 
 
 def _walk(
@@ -145,8 +147,7 @@ def _walk(
     are appended to `rejected` when it is given.  The oracle is
     `ClassSpec.child_member`, asked about each candidate c with the site
     s of its maximum: c is a member with k + 1 inserted, a bijection by
-    construction, so none is validated.  It must describe a
-    downward-closed class.
+    construction, so none is validated.
     """
     stack = [(vals, sites)] if len(vals) < max_len else []
     while stack:
@@ -174,7 +175,7 @@ def _walk(
 
 
 def class_members(spec: ClassSpec, max_len: int) -> Iterator[tuple[int, ...]]:
-    """Value tuples of a closed spec's members of length 1..max_len, each
+    """Value tuples of a spec's members of length 1..max_len, each
     yielded once, in the order of the generating-tree walk."""
     return (v for v, _ in _walk(spec.child_member, max_len))
 
@@ -192,11 +193,6 @@ def _count_walk(
     return counts
 
 
-def _scan_count(spec: ClassSpec, n: int) -> int:
-    member_values = spec.member_values
-    return sum(1 for vals in permutations(range(1, n + 1)) if member_values(vals))
-
-
 # With jobs > 1 the walk is split into the subtrees below the members of
 # this length, one task each.
 _PARTITION_LEN = 4
@@ -205,18 +201,13 @@ _PARTITION_LEN = 4
 def count_by_length(spec: ClassSpec, max_n: int, jobs: int = 1) -> list[int]:
     """Numbers of members of each length 1..max_n, from one walk.
 
-    Closed specs (machine and basis specs) are counted by walking the
-    generating tree to length max_n once.  With jobs > 1 and
+    The generating tree is walked to length max_n once.  With jobs > 1 and
     max_n > _PARTITION_LEN the walk is split into the subtrees below the
     members of length _PARTITION_LEN, one task each, on at most that many
     worker processes; each worker is handed the spec's oracle and returns
     its counts by length, and the lists are summed in a fixed order, so the
     result is identical for any job count.
-    Predicate-backed specs, which may not be closed, are counted by a
-    serial scan of all n! permutations of each length.
     """
-    if not spec.closed:
-        return [_scan_count(spec, n) for n in range(1, max_n + 1)]
     if jobs > 1 and max_n > _PARTITION_LEN:
         counts = [0] * (max_n + 1)
         tasks = []
@@ -233,17 +224,11 @@ def count_by_length(spec: ClassSpec, max_n: int, jobs: int = 1) -> list[int]:
 
 
 def count_members(spec: ClassSpec, n: int) -> int:
-    """Number of length-n members.
-
-    Walks the generating tree to length n as count_by_length does, or
-    scans the n! permutations of length n for a spec that is not closed.
-    """
+    """Number of length-n members, from the walk count_by_length makes."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1 if spec.member_values(()) else 0
-    if not spec.closed:
-        return _scan_count(spec, n)
     return count_by_length(spec, n)[-1]
 
 
@@ -254,7 +239,7 @@ def _by_length(vals: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 def compute_basis(spec: ClassSpec, max_len: int) -> list[Permutation]:
     """Minimal non-members up to max_len, sorted by (length, values).
 
-    Requires a downward-closed oracle.  Every basis element is a candidate
+    Every basis element is a candidate
     of the generating-tree walk that the oracle rejects (deleting its
     maximum leaves a member, and deleting any other entry does too), so
     the walk to max_len collects them all.  A rejected candidate of length

@@ -270,11 +270,22 @@ def blockwise_reverse(d: DividedPermutation) -> Permutation:
     return Permutation(tuple(out))
 
 
-def local_reversal_image(perms: Iterable[Permutation]) -> set[Permutation]:
-    """Every blockwise reversal of every division of the given permutations.
+def local_reversal_image(members: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Every blockwise reversal of every division of the given value tuples.
 
     Blockwise reversal under one divider mask is an involution, so a
     permutation of length n is in the image of a class's members of length
     n exactly when some division of it blockwise-reverses into the class.
+    Each block is reversed straight from the divider mask, as in all_divisions.
     """
-    return {blockwise_reverse(d) for p in perms for d in all_divisions(p)}
+    image = set()
+    for v in members:
+        n = len(v)
+        for mask in range(1 << max(n - 1, 0)):
+            out, a = (), 0
+            for b in range(1, n + 1):
+                if b == n or mask >> (b - 1) & 1:
+                    out += v[a:b][::-1]
+                    a = b
+            image.add(out)
+    return image

@@ -174,7 +174,9 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 # it reach the pop stack in that order and must form a prefix of a layered
 # permutation: runs of consecutive values, each run decreasing, the runs
 # increasing (e.g. 2,1,3,6,5,4).  SQP pushes into the queue are pruned to
-# keep that invariant.
+# keep that invariant, so a DEQUEUE needs no check: a run leaves the queue
+# falling by one, and its last value, the least not yet in the stream, is
+# next needed, so it flushes and the next run meets an empty pop stack.
 #
 # In SP and SQP every value leaves the stack for the pop stack in the
 # same order, and a pop stack sorts exactly the layered permutations
@@ -477,7 +479,7 @@ def _solve_sqp(p: tuple[int, ...], rec: list[Move]) -> bool:
             if dfs(i, stack[:-1], queue + (x,), pop, nn, *runs):
                 rec.append(Move.PUSH_ONE)
                 return True
-        if queue and (not pop or queue[0] == pop[-1] - 1):
+        if queue:
             x = queue[0]
             run, out = ((), nn + len(pop) + 1) if x == nn else (pop + (x,), nn)
             if dfs(i, stack, queue[1:], run, out, lo, top, last):

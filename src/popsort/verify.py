@@ -270,12 +270,12 @@ def _chk_pqs_triple(bound: int):
     # `single-stack-sorts-iff-avoids-231`).  p is reachable by local
     # reversals of a 231-avoider exactly when it lies in their image.
     stack_sortable = _members_upto(ClassSpec.from_machine(MachineKind.S), bound)
-    reachable = local_reversal_image(Permutation(v) for v in stack_sortable)
+    reachable = local_reversal_image(stack_sortable)
     for p in _perms_upto(bound):
         sim = machines.is_sortable(MachineKind.PQS, p)
         if sim != machines.is_sortable_by_division(MachineKind.PQS, p):
             return False, f"PQS division route disagrees on {p}"
-        if sim != (p in reachable):
+        if sim != (p.values in reachable):
             return False, f"PQS local-reversal route disagrees on {p}"
     return True, f"simulator == division == local reversals of 231-avoiders for n <= {bound}"
 

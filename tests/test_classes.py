@@ -35,6 +35,8 @@ from popsort.perms import (
 
 PS_SPEC = ClassSpec.from_machine(MachineKind.PS)
 PS_BASIS_SPEC = ClassSpec.from_basis(PS_BASIS)
+# The same class, Av(2431, 3142, 3241), by its structural recognizer.
+STRUCTURAL_SPEC = ClassSpec.from_predicate("structural", structural_member)
 # Av(231), Av(2431, 3142) and the three Wilf-equivalent classes of
 # acceptance criterion 10.
 WALKED_BASES = (
@@ -139,21 +141,8 @@ class TestClassSpec:
 
     def test_predicate_spec(self):
         spec = ClassSpec.from_predicate("increasing", lambda p: list(p) == sorted(p))
-        assert not spec.closed
         assert count_members(spec, 4) == 1
         assert count_by_length(spec, 4) == [1, 1, 1, 1]
-
-    def test_predicate_spec_scans_serially_for_any_jobs(self, monkeypatch):
-        # A predicate spec is not closed, so no walk splits it: jobs > 1
-        # must neither change its counts nor start a worker pool.
-        spec = ClassSpec.from_predicate("structural", structural_member)
-        serial = count_by_length(spec, 6)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a predicate spec started a worker pool")
-
-        monkeypatch.setattr(classes.multiprocessing, "Pool", no_pool)
-        assert count_by_length(spec, 6, jobs=2) == serial
 
     @pytest.mark.parametrize("spec, workers", [
         (PS_SPEC, [21]),  # one task per PS member of length 4
@@ -200,8 +189,7 @@ class TestCountMembers:
         calls = []
         sp = ClassSpec.from_machine(MachineKind.SP)
         spec = ClassSpec(sp.canonical_text,
-                         lambda vals: calls.append(vals) or sp.member_values(vals),
-                         closed=True)
+                         lambda vals: calls.append(vals) or sp.member_values(vals))
         assert count_by_length(spec, 7) == [count_members(sp, n) for n in range(1, 8)]
         assert len(calls) == 5511  # one count_members call per n makes 6583
 
@@ -228,6 +216,12 @@ class TestWalkAgainstReferences:
             scan_count(spec, n) for n in lengths
         ]
 
+    def test_predicate_counts_equal_scan(self):
+        lengths = range(0, 9)
+        assert [count_members(STRUCTURAL_SPEC, n) for n in lengths] == [
+            scan_count(STRUCTURAL_SPEC, n) for n in lengths
+        ]
+
     @pytest.mark.parametrize(
         "kind",
         [MachineKind.S, MachineKind.PS, MachineKind.PQS, MachineKind.SP, MachineKind.DI],
@@ -239,7 +233,9 @@ class TestWalkAgainstReferences:
 
     @pytest.mark.parametrize("spec, max_n", [
         pytest.param(spec, max_n, id=str(spec))
-        for spec, max_n in ((ClassSpec.from_machine(MachineKind.PQS), 7), (PS_BASIS_SPEC, 8))
+        for spec, max_n in (
+            (ClassSpec.from_machine(MachineKind.PQS), 7), (PS_BASIS_SPEC, 8), (STRUCTURAL_SPEC, 7)
+        )
     ])
     def test_jobs_split_by_subtree(self, spec, max_n):
         assert count_by_length(spec, max_n, jobs=2) == count_by_length(spec, max_n)
@@ -288,7 +284,6 @@ class TestValuesOracle:
         spy = ClassSpec(
             spec.canonical_text,
             lambda vals: handed.append(vals) or spec.member_values(vals),
-            closed=True,
             child_member=lambda vals, s: (
                 children.append((vals, s)) or spec.child_member(vals, s)
             ),
@@ -309,7 +304,7 @@ class TestValuesOracle:
         for p in (p for n in range(max_n + 1) for p in all_perms(n)):
             assert spec.member(p) == spec.member_values(p.values) == reference(p), p
 
-    @pytest.mark.parametrize("spec", WALKED_SPECS, ids=str)
+    @pytest.mark.parametrize("spec", WALKED_SPECS + [STRUCTURAL_SPEC], ids=str)
     def test_oracle_pickles(self, spec):
         # Worker processes of count_by_length receive the walk's oracle itself.
         oracle = pickle.loads(pickle.dumps(spec.member_values))

@@ -305,11 +305,6 @@ class TestWitnessStability:
     def sqp_digest(cls, max_n):
         return cls.digest(MachineKind.SQP, (p for n in range(max_n + 1) for p in all_perms(n)))
 
-    def test_sqp_witnesses_to_six(self):
-        assert self.sqp_digest(6) == (
-            "94fd99cff0cc5971619bd62a2e51b42724f3f6dc793ce8ab4a2bd1237d0a71e9"
-        )
-
     def test_sqp_witnesses_to_seven(self):
         assert self.sqp_digest(7) == (
             "c57f516bcd900a8218a00e314f1a9efdb9500b339f7481b74b6fdc3b36fc0f30"
@@ -525,7 +520,9 @@ class TestDeadInputRules:
         # The SQP memo key omits (lo, top, last).  At each INPUT check, the
         # values read and no longer on the stack have entered the queue;
         # lo is the least value not among them, and b, the least value of
-        # the open run, is the least of them above lo (0: none).
+        # the open run, is the least of them above lo (0: none).  The
+        # search's frame shows that a DEQUEUE needs no guard: the queue's
+        # head goes onto an empty pop stack or one whose top is one above it.
         rule = machines._input_dead
         seen = []
 
@@ -533,6 +530,9 @@ class TestDeadInputRules:
             entered = set(p.values[:p.values.index(x)]) - set(stack)
             lo = min(set(range(1, len(p) + 2)) - entered)
             seen.append(b == min((v for v in entered if v > lo), default=0))
+            frame = sys._getframe(1).f_locals
+            queue, pop = frame["queue"], frame["pop"]
+            assert not queue or not pop or pop[-1] == queue[0] + 1, (queue, pop)
             return rule(stack, x, b)
 
         machines._input_dead = spy
