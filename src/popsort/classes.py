@@ -307,18 +307,51 @@ _structural_memo: dict[tuple[int, ...], bool] = {}
 
 
 def structural_member(p: Permutation) -> bool:
-    """Recursive membership test for Av(2431, 3142, 3241) by shape."""
+    """Membership test for Av(2431, 3142, 3241) by shape.
+
+    A sum or skew chain is walked in a loop, in one frame at any length;
+    nested shapes, such as a sum inside a skew sum inside a sum, still
+    recurse once per level."""
     return _structural(p.values)
 
 
 def _structural(vals: tuple[int, ...]) -> bool:
-    if len(vals) <= 1:
-        return True
-    cached = _structural_memo.get(vals)
-    if cached is not None:
-        return cached
-    result = _structural_uncached(vals)
-    _structural_memo[vals] = result
+    # Test the chain's first summand or first layer, then go on with the
+    # rest.  Every suffix visited has the chain's result and is memoized.
+    chain = []
+    result = True
+    while len(vals) > 1:
+        cached = _structural_memo.get(vals)
+        if cached is not None:
+            result = cached
+            break
+        chain.append(vals)
+        qv, spans = substitution_decompose_values(vals)
+        if len(qv) == 2:
+            # Direct sums: the first summand and the rest must both be
+            # members.  Skew sums: a reverse layered permutation over a
+            # member.  The first part is skew indecomposable, so it is the
+            # first layer and must be increasing; the rest, the other layers
+            # over the member, must be a member.
+            (a, b), (c, d) = spans
+            first_ok = _structural(_part(vals, a, b)) if qv == (1, 2) else _is_run(vals, a, b)
+            if first_ok:
+                vals = _part(vals, c, d)
+                continue
+            result = False
+        else:
+            # Inflations of a parallel alternation, whose simple quotient
+            # and blocks are unique.
+            m = len(qv) // 2
+            result = (
+                m >= 2
+                and qv == _alternation(m)
+                and all(_is_run(vals, a, b) for a, b in spans[:m])
+                and all(_structural(_part(vals, a, b)) for a, b in spans[m:])
+            )
+        break
+    for suffix in chain:
+        _structural_memo[suffix] = result
     return result
 
 
@@ -339,26 +372,3 @@ def _part(vals: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
 def _alternation(m: int) -> tuple[int, ...]:
     """Values of parallel_alternation(m), without building it."""
     return tuple(range(2, 2 * m + 1, 2)) + tuple(range(1, 2 * m, 2))
-
-
-def _structural_uncached(vals: tuple[int, ...]) -> bool:
-    qv, spans = substitution_decompose_values(vals)
-    # Direct sums: the first summand and the rest must both be members.
-    if qv == (1, 2):
-        (a, b), (c, d) = spans
-        return _structural(_part(vals, a, b)) and _structural(_part(vals, c, d))
-    # Skew sums: a reverse layered permutation over a member.  The first
-    # part is skew indecomposable, so it is the first layer and must be
-    # increasing; the rest, the other layers over the member, must be a
-    # member.
-    if qv == (2, 1):
-        (a, b), (c, d) = spans
-        return _is_run(vals, a, b) and _structural(_part(vals, c, d))
-    # Inflations of a parallel alternation, whose simple quotient and
-    # blocks are unique.
-    m = len(qv) // 2
-    if m >= 2 and qv == _alternation(m):
-        return all(_is_run(vals, a, b) for a, b in spans[:m]) and all(
-            _structural(_part(vals, a, b)) for a, b in spans[m:]
-        )
-    return False

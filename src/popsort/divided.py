@@ -13,13 +13,15 @@ in that order that avoids every pattern.  It does not scan the 2^(n-1)
 masks: it places entries from right to left, and at each position first
 lets the entry join the block on its right (no divider), then opens a new
 block.  Depth-first, that is increasing-mask order, since the highest bit
-is the divider nearest the right end.  Containment survives prepending
-entries and extending the leftmost block, so an occurrence found in a
-placed suffix prunes every completion of it, and placing position i needs
-to test only the occurrences whose first entry is i: those starting
-further right were tested when their first entry was placed.  Pruning
-drops only subtrees without an avoiding division, so the first division
-found is the first in mask order.
+is the divider nearest the right end.  The search's whole state is the
+block ids of the placed suffix: a divider sits where neighbouring ids
+differ.  Containment survives prepending entries and extending the
+leftmost block, so an occurrence found in a placed suffix prunes every
+completion of it, and placing position i needs to test only the
+occurrences whose first entry is i: those starting further right were
+tested when their first entry was placed.  Pruning drops only subtrees
+without an avoiding division, so the first division found is the first in
+mask order.
 
 Patterns are tested by base, not one by one.  A divided pattern is its
 base plus its divider mask (bit j-1 set = divider after entry j), and an
@@ -31,8 +33,11 @@ The search therefore groups its patterns by base, once per pattern set
 (the grouping is cached), and runs one backtracking scan per group that
 follows the group's masks through a table over mask prefixes: the
 antichain's eight patterns make two groups, the PQS set four and the PS
-set three.  div_contains is the one-mask group; div_avoids stays pattern
-by pattern, as a reference.
+set three.  A group's matcher answers one anchored question: does some
+pattern of the group occur with its first entry at a given position?  The
+division search asks it at the position just placed; div_contains is the
+one-mask group asked at every anchor; div_avoids stays pattern by
+pattern, as a reference.
 """
 from __future__ import annotations
 
@@ -70,14 +75,7 @@ class DividedPermutation:
 
     def block_ids(self) -> tuple[int, ...]:
         """block_ids()[i] = index of the block holding position i+1."""
-        ids = []
-        b = 0
-        divs = set(self.dividers)
-        for pos in range(1, len(self.base) + 1):
-            ids.append(b)
-            if pos in divs:
-                b += 1
-        return tuple(ids)
+        return tuple(b for b, blk in enumerate(self.blocks()) for _ in blk)
 
 
 DividedPattern = DividedPermutation
@@ -137,17 +135,17 @@ def _groups(patterns: tuple[DividedPattern, ...]) -> tuple:
     return tuple(_prepare(base, frozenset(m)) for base, m in masks.items())
 
 
-def _matcher(group, hv: Sequence[int], hb: Sequence[int]) -> Callable[[Optional[int]], bool]:
-    """Containment test of one pattern group on raw values hv and
-    non-decreasing block ids hb: does some pattern of the group occur?
+def _matcher(group, hv: Sequence[int], hb: Sequence[int]) -> Callable[[int], bool]:
+    """Anchored containment test of one pattern group on raw values hv and
+    non-decreasing block ids hb: occurs(first) asks whether some pattern of
+    the group occurs with its first entry at host position first.
 
     An occurrence of the base matches the pattern whose mask is the one it
     induces: bit j-1 set iff its entries j-1 and j lie in different host
     blocks.  Block ids are compared only with each other, so any
     non-negative non-decreasing ids work.  The test reads hb when called,
-    so a search may change the block ids between calls.  Called with
-    first, only occurrences whose first entry is at position first count,
-    and positions before it are not read.
+    and never reads a position before first, so a search may change the
+    block ids between calls and leave those left of first stale.
     """
     pv, lo, hi, step = group
     k, n = len(pv), len(hv)
@@ -156,12 +154,13 @@ def _matcher(group, hv: Sequence[int], hb: Sequence[int]) -> Callable[[Optional[
 
     def extend(j: int, start: int, node: int) -> bool:
         # Place entry j >= 1; node is the mask prefix of entries 0..j-1.
+        if j == k:
+            return True
         same, new = step[node]
         bl, bh = lo[j], hi[j]
         vlo = chosen[bl] if bl >= 0 else 0
         vhi = chosen[bh] if bh >= 0 else n + 1
         prev = cblock[j - 1]
-        last = j + 1 == k
         for i in range(start, n - (k - j) + 1):
             b = hb[i]
             if b == prev:
@@ -174,25 +173,21 @@ def _matcher(group, hv: Sequence[int], hb: Sequence[int]) -> Callable[[Optional[
                     break  # host blocks only grow with position
             v = hv[i]
             if vlo < v < vhi:
-                if last:
-                    return True
                 chosen[j] = v
                 cblock[j] = b
                 if extend(j + 1, i + 1, nxt):
                     return True
         return False
 
-    def occurs(first: Optional[int] = None) -> bool:
+    def occurs(first: int) -> bool:
         if k == 0:
             return True
-        if first is None:
-            return any(occurs(i) for i in range(n - k + 1))
         if k > n - first:
             return False
         # The first pattern entry has no value bounds and opens a block.
         chosen[0] = hv[first]
         cblock[0] = hb[first]
-        return k == 1 or extend(1, first + 1, 0)
+        return extend(1, first + 1, 0)
 
     return occurs
 
@@ -200,7 +195,8 @@ def _matcher(group, hv: Sequence[int], hb: Sequence[int]) -> Callable[[Optional[
 def div_contains(pattern: DividedPattern, host: DividedPermutation) -> bool:
     """True iff the divided pattern occurs in the divided host."""
     group = _prepare(pattern.base.values, frozenset((_divider_mask(pattern),)))
-    return _matcher(group, host.base.values, host.block_ids())()
+    occurs = _matcher(group, host.base.values, host.block_ids())
+    return any(occurs(i) for i in range(len(host) - len(pattern) + 1))
 
 
 def div_avoids(host: DividedPermutation, patterns: Iterable[DividedPattern]) -> bool:
@@ -215,10 +211,7 @@ def _dividers_of_mask(mask: int, n: int) -> tuple[int, ...]:
 def all_divisions(p: Permutation) -> Iterator[DividedPermutation]:
     """All 2^(n-1) divisions of p, in increasing divider-bitmask order."""
     n = len(p)
-    if n == 0:
-        yield DividedPermutation(p, ())
-        return
-    for mask in range(1 << (n - 1)):
+    for mask in range(1 << max(n - 1, 0)):
         yield DividedPermutation(p, _dividers_of_mask(mask, n))
 
 
@@ -231,12 +224,11 @@ def exists_division_avoiding(
     hb = [0] * n
     matchers = [_matcher(group, hv, hb) for group in _groups(tuple(patterns))]
     if n == 0:
-        return None if any(occurs() for occurs in matchers) else DividedPermutation(p, ())
-    # Place positions n-1 down to 0.  opened[i]: position i went into a new
-    # block instead of joining the block of position i+1, i.e. divider i+1
-    # is set.  Block ids fall by one per new block, from n-1 at the right
-    # end, so they stay non-negative.
-    opened = [False] * n
+        return None if any(occurs(0) for occurs in matchers) else DividedPermutation(p, ())
+    # Place positions n-1 down to 0.  Position i joins the block of i+1
+    # (same id) or opens a new one (one id lower, so ids stay >= 0): divider
+    # i+1 is set exactly when hb[i] != hb[i+1].  Ids left of i are stale
+    # from abandoned branches; a matcher anchored at i never reads them.
     i = n - 1
     hb[i] = n - 1
     while True:
@@ -245,21 +237,17 @@ def exists_division_avoiding(
                 break
         else:
             if i == 0:
-                return DividedPermutation(
-                    p, tuple(t + 1 for t in range(n - 1) if opened[t])
-                )
+                return DividedPermutation(p, tuple(t for t in range(1, n) if hb[t - 1] != hb[t]))
             i -= 1
-            opened[i] = False
             hb[i] = hb[i + 1]
             continue
         # Every completion contains an occurrence: back up to the nearest
         # position still joined to its right-hand block and open it instead.
-        while i < n - 1 and opened[i]:
+        while i < n - 1 and hb[i] != hb[i + 1]:
             i += 1
         if i == n - 1:
             return None
-        opened[i] = True
-        hb[i] = hb[i + 1] - 1
+        hb[i] -= 1
 
 
 def blockwise_reverse(d: DividedPermutation) -> Permutation:

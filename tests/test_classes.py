@@ -530,11 +530,18 @@ class TestStructuralMember:
         assert avoids(p, PS_BASIS), p
         assert structural_member(p), p
 
-    def test_reverse_layered_members(self):
+    def test_reverse_layered_members(self, monkeypatch):
         # iota_1 (-) iota_2 (-) ... shapes are members for any increasing runs
         p = parse("563412")  # 12 (-) 12 (-) 12
         assert structural_member(p)
         assert structural_member(parse("321"))
+        # Sum and skew chains are walked in a loop, not one frame per
+        # component, so length 2000 stays far from the recursion limit.
+        monkeypatch.setattr(classes, "_structural_memo", {})
+        n = 2000
+        layered = tuple(v for t in range(n - 1, 0, -2) for v in (t, t + 1))  # 12 (-) 12 (-) ...
+        for q in (identity(n), identity(n).reverse(), Permutation(layered)):
+            assert structural_member(q)
 
 
 class TestSpecGuards:

@@ -89,10 +89,12 @@ class TestDivContains:
     def test_agrees_with_naive_oracle_random(self, host_base, hmask, pmask):
         hosts = list(all_divisions(host_base))
         host = hosts[hmask % len(hosts)]
-        pat_base = parse("3142")
-        pats = list(all_divisions(pat_base))
-        pat = pats[pmask % len(pats)]
-        assert div_contains(pat, host) == naive_div_contains(pat, host)
+        # Every pattern base on every host: the one-entry base is a whole
+        # occurrence as soon as its anchor is placed.
+        for pat_base in ("1", "21", "3142"):
+            pats = list(all_divisions(parse(pat_base)))
+            pat = pats[pmask % len(pats)]
+            assert div_contains(pat, host) == naive_div_contains(pat, host), (pat, host)
 
 class TestAllDivisions:
     @pytest.mark.parametrize("n,count", [(1, 1), (3, 4), (5, 16)])
