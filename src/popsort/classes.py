@@ -309,23 +309,23 @@ _structural_memo: dict[tuple[int, ...], bool] = {}
 def structural_member(p: Permutation) -> bool:
     """Membership test for Av(2431, 3142, 3241) by shape.
 
-    A sum or skew chain is walked in a loop, in one frame at any length;
-    nested shapes, such as a sum inside a skew sum inside a sum, still
-    recurse once per level."""
+    A sum or skew chain is walked in a loop, in one frame at any length,
+    and only the permutation asked is memoized; nested shapes, such as a
+    sum inside a skew sum inside a sum, recurse once per level."""
     return _structural(p.values)
 
 
 def _structural(vals: tuple[int, ...]) -> bool:
     # Test the chain's first summand or first layer, then go on with the
-    # rest.  Every suffix visited has the chain's result and is memoized.
-    chain = []
+    # rest.  A suffix found in the memo answers for the chain, but only
+    # the permutation asked (length 2 or more) is memoized.
+    asked = vals
     result = True
     while len(vals) > 1:
         cached = _structural_memo.get(vals)
         if cached is not None:
             result = cached
             break
-        chain.append(vals)
         qv, spans = substitution_decompose_values(vals)
         if len(qv) == 2:
             # Direct sums: the first summand and the rest must both be
@@ -350,8 +350,8 @@ def _structural(vals: tuple[int, ...]) -> bool:
                 and all(_structural(_part(vals, a, b)) for a, b in spans[m:])
             )
         break
-    for suffix in chain:
-        _structural_memo[suffix] = result
+    if len(asked) > 1:
+        _structural_memo[asked] = result
     return result
 
 

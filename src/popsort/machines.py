@@ -44,41 +44,30 @@ class MachineKind(Enum):
 
 
 class Move(Enum):
+    """A machine move; its value is its token in move text.  FLUSH_POP
+    empties the pop stack, top first, into whatever follows it: the stack
+    (PS), the queue (PQS) or the output (SP, SQP)."""
+
     INPUT = "I"
-    FLUSH_POP = "F"       # entire pop stack onto its successor, top first
+    FLUSH_POP = "F"
     PUSH_ONE = "P"        # one entry from the first device to its successor
     DEQUEUE = "D"         # queue front to the next device
     OUTPUT = "O"
-    FLUSH_OUTPUT = "F2"   # entire pop stack to the output, top first
-
-
-_MOVE_TOKENS = {
-    Move.INPUT: "I",
-    Move.FLUSH_POP: "F",
-    Move.PUSH_ONE: "P",
-    Move.DEQUEUE: "D",
-    Move.OUTPUT: "O",
-    Move.FLUSH_OUTPUT: "F",
-}
 
 
 def moves_to_text(moves: Iterable[Move]) -> str:
-    return ",".join(_MOVE_TOKENS[m] for m in moves)
+    return ",".join(m.value for m in moves)
 
 
-def moves_from_text(kind: MachineKind, text: str) -> list[Move]:
-    """Parse a comma-separated move string; the kind disambiguates F."""
-    other_flush = Move.FLUSH_POP if kind in (MachineKind.SP, MachineKind.SQP) else Move.FLUSH_OUTPUT
-    table = {token: move for move, token in _MOVE_TOKENS.items() if move is not other_flush}
+def moves_from_text(text: str) -> list[Move]:
+    """Parse a comma-separated move string."""
     moves = []
-    text = text.strip()
-    if not text:
-        return moves
-    for tok in text.split(","):
+    for tok in text.split(",") if text.strip() else ():
         tok = tok.strip().upper()
-        if tok not in table:
-            raise ValueError(f"unknown move token {tok!r}")
-        moves.append(table[tok])
+        try:
+            moves.append(Move(tok))
+        except ValueError:
+            raise ValueError(f"unknown move token {tok!r}") from None
     return moves
 
 
@@ -118,18 +107,19 @@ def successors(kind: MachineKind, p: tuple[int, ...],
     """Each move legal in `state` on input p with the state it leads to,
     generated one at a time so that `replay` stops at the one it looks for.
 
-    The order is fixed: the output-type move, INPUT, FLUSH_POP or
-    PUSH_ONE, then DEQUEUE.  Flushing an empty pop stack is never
-    offered (it would be a no-op), and output moves are only offered
-    when they emit the next needed value (or, for SP/SQP, the run
-    starting at it).
+    The order is fixed: the output-type move (OUTPUT, or in SP and SQP
+    FLUSH_POP), INPUT, FLUSH_POP (PS, PQS) or PUSH_ONE, then DEQUEUE.
+    This is the one place that says where a flush lands.  Flushing an
+    empty pop stack is never offered (it would be a no-op), and output
+    moves are only offered when they emit the next needed value (or, for
+    SP/SQP, the run starting at it).
     """
     i, pop, queue, stack, nn = state
     pop_last = kind in (MachineKind.SP, MachineKind.SQP)
     if pop_last:
         # Popping emits top to bottom; that must read nn, nn+1, ...
         if pop and all(pop[-1 - t] == nn + t for t in range(len(pop))):
-            yield Move.FLUSH_OUTPUT, MachineState(i, (), queue, stack, nn + len(pop))
+            yield Move.FLUSH_POP, MachineState(i, (), queue, stack, nn + len(pop))
     elif stack and stack[-1] == nn:
         yield Move.OUTPUT, MachineState(i, pop, queue, stack[:-1], nn + 1)
     if i < len(p):
@@ -439,7 +429,7 @@ def _solve_sp(p: tuple[int, ...], rec: list[Move]) -> bool:
             run, out = ((), nn + len(pop) + 1) if x == nn else (pop + (x,), nn)
             if dfs(i, stack[:-1], run, out):
                 if out > nn:
-                    rec.append(Move.FLUSH_OUTPUT)
+                    rec.append(Move.FLUSH_POP)
                 rec.append(Move.PUSH_ONE)
                 return True
         failed.add(key)
@@ -484,7 +474,7 @@ def _solve_sqp(p: tuple[int, ...], rec: list[Move]) -> bool:
             run, out = ((), nn + len(pop) + 1) if x == nn else (pop + (x,), nn)
             if dfs(i, stack, queue[1:], run, out, lo, top, last):
                 if out > nn:
-                    rec.append(Move.FLUSH_OUTPUT)
+                    rec.append(Move.FLUSH_POP)
                 rec.append(Move.DEQUEUE)
                 return True
         failed.add(key)

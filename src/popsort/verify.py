@@ -354,7 +354,7 @@ def _chk_witness_replay(bound: int):
                 return False, f"{kind.name} witness presence on {p} disagrees with sortability"
             if witness is not None and machines.replay(kind, p, witness) != identity(len(p)):
                 return False, f"witness for {kind.name} on {p} does not replay"
-    trace = machines.moves_from_text(MachineKind.PS, "I,I,I,F,I,I,F,O,O,O,I,F,O,O,O")
+    trace = machines.moves_from_text("I,I,I,F,I,I,F,O,O,O,I,F,O,O,O")
     if machines.replay(MachineKind.PS, parse("356124"), trace) != parse("123456"):
         return False, "the worked PS trace does not sort 356124"
     return True, (

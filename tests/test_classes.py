@@ -543,6 +543,24 @@ class TestStructuralMember:
         for q in (identity(n), identity(n).reverse(), Permutation(layered)):
             assert structural_member(q)
 
+    def test_chain_memoizes_only_the_permutation_asked(self, monkeypatch):
+        # The identity is a sum chain of 1999 suffixes; storing each would
+        # keep about two million values for one question.
+        monkeypatch.setattr(classes, "_structural_memo", {})
+        assert structural_member(identity(2000))
+        assert list(classes._structural_memo) == [identity(2000).values]
+
+    def test_nested_shapes_stay_under_the_recursion_limit(self, monkeypatch):
+        # v -> (m+1, v..., m+2): a sum whose first summand is a skew sum
+        # 1 (-) v, so each of the 900 levels costs one recursive frame.
+        v = (1,)
+        for _ in range(900):
+            m = len(v)
+            v = (m + 1,) + v + (m + 2,)
+        assert len(v) == 1801
+        monkeypatch.setattr(classes, "_structural_memo", {})
+        assert structural_member(Permutation(v))
+
 
 class TestSpecGuards:
     def test_negative_length_rejected(self):

@@ -32,21 +32,20 @@ class TestMoveText:
         moves = [Move.INPUT, Move.FLUSH_POP, Move.OUTPUT]
         assert moves_to_text(moves) == "I,F,O"
 
-    def test_flush_resolution_by_kind(self):
-        assert moves_from_text(MachineKind.PS, "I,F,O") == [
-            Move.INPUT, Move.FLUSH_POP, Move.OUTPUT,
-        ]
-        assert moves_from_text(MachineKind.SP, "I,P,F") == [
-            Move.INPUT, Move.PUSH_ONE, Move.FLUSH_OUTPUT,
-        ]
+    def test_sp_witness_text_replays(self):
+        # F is one move; successors alone says the SP flush lands in the output
+        p = parse("3142")
+        moves = moves_from_text(moves_to_text(sorting_witness(MachineKind.SP, p)))
+        assert Move.FLUSH_POP in moves
+        assert replay(MachineKind.SP, p, moves) == identity(4)
 
     def test_roundtrip_on_witness(self):
         w = sorting_witness(MachineKind.PQS, parse("3142"))
-        assert moves_from_text(MachineKind.PQS, moves_to_text(w)) == w
+        assert moves_from_text(moves_to_text(w)) == w
 
     def test_unknown_token(self):
         with pytest.raises(ValueError):
-            moves_from_text(MachineKind.S, "I,Q")
+            moves_from_text("I,Q")
 
 
 def legal(kind, text, state):
@@ -87,9 +86,9 @@ class TestLegalMoves:
 
     def test_sqp_flush_requires_exact_run(self):
         good = MachineState(input_pos=3, pop=(3, 2, 1), next_needed=1)
-        assert Move.FLUSH_OUTPUT in legal(MachineKind.SQP, "321", good)
+        assert Move.FLUSH_POP in legal(MachineKind.SQP, "321", good)
         bad = MachineState(input_pos=3, pop=(2, 3), queue=(1,), next_needed=1)
-        assert Move.FLUSH_OUTPUT not in legal(MachineKind.SQP, "321", bad)
+        assert Move.FLUSH_POP not in legal(MachineKind.SQP, "321", bad)
 
 
 class TestApplyMove:
@@ -110,7 +109,7 @@ class TestApplyMove:
 
     def test_flush_output_emits_run(self):
         state = MachineState(input_pos=3, pop=(3, 2, 1))
-        after = apply(MachineKind.SP, "321", state, Move.FLUSH_OUTPUT)
+        after = apply(MachineKind.SP, "321", state, Move.FLUSH_POP)
         assert after.next_needed == 4 and after.pop == ()
 
 
@@ -120,16 +119,18 @@ class TestMoveGraph:
     Every (perm, state, move, next state) edge reachable from the start is
     hashed for all permutations of length <= 4, walked in the depth-first
     order of `is_sortable_unpruned`, so the moves' order is pinned too.
-    The digests were recorded while the legal moves and their targets
-    still came from two separate six-kind ladders.
+    The S, PS, PQS and DI digests were recorded while the legal moves and
+    their targets still came from two separate six-kind ladders.  The SP
+    and SQP ones were re-recorded when their flush to the output became
+    FLUSH_POP; under its former name the edges hash to the earlier pins.
     """
 
     @pytest.mark.parametrize("kind,expected", [
         (MachineKind.S, "0920a0da98c94ac0bb9fe36e8890a5b701461455de80901025519ecdbdbc3632"),
         (MachineKind.PS, "7af3ca6d8607e271b105c2f66414713ee7846599cd5b913c33689727d0e5ff15"),
         (MachineKind.PQS, "6e7bf7e06e5af4f657db5a3ff96e62f8ca5acf3d0d8342bfeb25e9a1e810cb92"),
-        (MachineKind.SP, "c311d434a447b2673d04e8aa3424fb17b8077ec79711a990daf42b9cb891534b"),
-        (MachineKind.SQP, "717ef6fd3077cb154729d2d6d6ffb1cd7427af0b10a73ecbdcef2049f4f3edde"),
+        (MachineKind.SP, "3ec2813533e2b50ef4a98e3aa1b632b0e3bc792191339c69ebced70a9ed6db28"),
+        (MachineKind.SQP, "9cdbd8dacdc765c4886e375ba66752af5c81dbda722e639e299b66c654f74069"),
         (MachineKind.DI, "b8d9d05076b6a25edadced72e4d08d9c5a6c832684b3b454b041ed7ce2091c09"),
     ], ids=["s", "ps", "pqs", "sp", "sqp", "di"])
     def test_edges_to_four(self, kind, expected):
@@ -362,8 +363,8 @@ class TestForcedOutputs:
         state = MachineState()
         for move in witness or ():
             offered = list(successors(kind, p.values, state))
-            first = offered[0][0]
-            if first in (Move.OUTPUT, Move.FLUSH_OUTPUT):
+            first, after = offered[0]
+            if after.next_needed > state.next_needed:  # an output-type move
                 assert move is first, (p, state)
             state = dict(offered)[move]
         return witness is not None
@@ -385,17 +386,17 @@ class TestForcedOutputs:
 
 class TestReplay:
     def test_single_stack_swap(self):
-        moves = moves_from_text(MachineKind.S, "I,I,O,O")
+        moves = moves_from_text("I,I,O,O")
         assert replay(MachineKind.S, parse("21"), moves) == parse("12")
 
     def test_illegal_output_reports_step(self):
-        moves = moves_from_text(MachineKind.S, "I,I,O,O")
+        moves = moves_from_text("I,I,O,O")
         with pytest.raises(IllegalMoveError) as exc:
             replay(MachineKind.S, parse("12"), moves)
         assert exc.value.step == 3
 
     def test_partial_replay_returns_prefix(self):
-        moves = moves_from_text(MachineKind.S, "I,O")
+        moves = moves_from_text("I,O")
         assert replay(MachineKind.S, parse("12"), moves) == parse("1")
 
 
