@@ -26,12 +26,13 @@ CACHE_FORMAT_VERSION = "1"
 ENUMERATE_MAX_LEN = 11
 BASIS_MAX_LEN = 10
 SERIES_MAX_TERMS = 200
-# Longest permutation `sortable` accepts.  S runs one loop, and PS and PQS
-# recurse once per block, at most one frame per entry.  SP, SQP and DI
-# recurse once per chosen move, and forced moves (outputs, flushes to the
-# output) never recurse: at most three frames per entry (SQP: input, push,
-# dequeue; SP and DI two), so 300 entries stay under Python's default
-# recursion limit of 1000 with room for the caller's frames.
+# Longest permutation `sortable` accepts.  S and DI run one loop each, and
+# PS and PQS recurse once per block, at most one frame per entry.  Only SP
+# and SQP still recurse once per chosen move; forced moves (outputs,
+# flushes to the output) never recurse: at most three frames per entry
+# (SQP: input, push, dequeue; SP two), so 300 entries stay under Python's
+# default recursion limit of 1000 with room for the caller's frames.  The
+# bound stays until neither kind of recursion is left.
 SORTABLE_MAX_LEN = 300
 
 # Schemas for the JSON emitted by each command (draft-07); the test suite

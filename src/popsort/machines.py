@@ -19,11 +19,11 @@ the raw move semantics: each legal move with the state it leads to.
 `replay` runs a move sequence through it, and `is_sortable_unpruned` is
 the slow reference search over the graph it spans, used to validate the
 pruning.
-`sorting_witness` runs the kind's pruned depth-first search over
-configurations.  `is_sortable` and `decider` (the same decision on value
-tuples, for callers that build candidates by construction) run that search
-too, except for SP and SQP: the two sort one class, the duals of the
-PQS-sortable permutations, and both decide by the PQS search on the dual.
+`sorting_witness` runs the kind's solver, a forced loop for S and DI and a
+pruned depth-first search over configurations for the others.  `is_sortable`
+and `decider` (the same decision on value tuples, for callers that build
+candidates by construction) run it too, except for SP and SQP: the two sort
+one class, the duals of the PQS-sortable permutations, and decide by PQS on the dual.
 """
 from __future__ import annotations
 
@@ -146,13 +146,13 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
-# Pruned depth-first searches, one per kind.
+# Solvers, one per kind: pruned depth-first searches and two forced loops.
 #
 # All searches take output-type moves the moment they are legal.  Only the
 # move that feeds the device the output leaves from can make one legal, and
 # the branch making it applies it, with every output it chains, before it
-# recurses (PS: flush, DI: push, SP: push, SQP: dequeue, PQS: the drain
-# after a flush; S is one forced loop).  No `dfs` is entered with an
+# recurses (PS: flush, SP: push, SQP: dequeue, PQS: the drain after a
+# flush; S and DI are forced loops).  No `dfs` is entered with an
 # output-type move legal.
 #
 # The searches skip moves that provably lead nowhere: the final stack must
@@ -197,7 +197,9 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 #
 # SP and SQP sort the same class, and SP sorts p iff PQS sorts its dual,
 # so their decisions run the cheaper PQS search on the dual
-# (`_solve_pqs_of_dual`).  Their own searches run only for witnesses.
+# (`_solve_pqs_of_dual`).  Their own searches run only for witnesses and
+# key their memo on the machine configuration; SQP's (lo, top, last) is a
+# function of it, so its key omits it.
 #
 # PS and PQS search block by block.  A run of either cuts the input into
 # blocks, one per flush, and their `dfs(j, stack, nn)` runs only at a
@@ -212,12 +214,16 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 # blocks p[j:i] are then tried for i = m down to j + 1, longest first,
 # which prefers INPUT to a flush as `successors` orders them.
 #
-# SP, SQP and DI key their memo on their machine configuration.  SQP's
-# (lo, top, last) is a function of that configuration, so its key omits
-# it.
-#
-# `is_sortable_unpruned` explores the raw move graph, edge by edge from
-# `successors`, and is compared against `is_sortable` by the test suite.
+# With no output legal, DI reads x = p[i] when f < x < s for the tops f
+# and s of its stacks (an empty stack bounds nothing), else it pushes f.
+# Refusing x > s never loses: s is not next needed, so it waits on a
+# smaller value, under x on the first stack or unread, which cannot get
+# past x while x cannot go onto s.  Reading x never loses either: a run
+# that instead pushes the first stack's top entries f = f1 > ... > fk and
+# then reads x must output each fj < x before x moves, meanwhile output
+# nothing else, and push only values read above x, onto s or each other.
+# Reading x first, the same reads and pushes, then pushing x, f1, ..., fk
+# and outputting them reaches the run's state once it has pushed x.
 #
 # Witnesses are recorded on the way back up.  A branch appends to `rec`
 # only once the child it leads to has returned True: the forced moves it
@@ -242,15 +248,15 @@ def _solve_s(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
         if stack and stack[-1] == nn:
             stack.pop()
             nn += 1
-            if rec is not None:
-                rec.append(Move.OUTPUT)
+            move = Move.OUTPUT
         elif i < n and (not stack or p[i] < stack[-1]):
             stack.append(p[i])
             i += 1
-            if rec is not None:
-                rec.append(Move.INPUT)
+            move = Move.INPUT
         else:
             return False
+        if rec is not None:
+            rec.append(move)
     if rec is not None:
         rec.reverse()  # the single forced path was recorded front to back
     return True
@@ -488,36 +494,29 @@ def _solve_sqp(p: tuple[int, ...], rec: list[Move]) -> bool:
 
 def _solve_di(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     n = len(p)
-    failed: set[tuple] = set()
-
-    def dfs(i: int, first: tuple[int, ...], second: tuple[int, ...], nn: int) -> bool:
-        if nn > n:
-            return True
-        key = (i, first, second, nn)
-        if key in failed:
+    first: list[int] = []
+    second: list[int] = []
+    nn = 1
+    i = 0
+    while nn <= n:
+        if second and second[-1] == nn:
+            second.pop()
+            nn += 1
+            move = Move.OUTPUT
+        elif i < n and (not first or p[i] > first[-1]) and (not second or p[i] < second[-1]):
+            first.append(p[i])
+            i += 1
+            move = Move.INPUT
+        elif first and (not second or first[-1] < second[-1]):
+            second.append(first.pop())
+            move = Move.PUSH_ONE
+        else:
             return False
-        if i < n and (not first or p[i] > first[-1]) and dfs(i + 1, first + (p[i],), second, nn):
-            if rec is not None:
-                rec.append(Move.INPUT)
-            return True
-        if first and (not second or first[-1] < second[-1]):
-            st = second + first[-1:]
-            out = nn
-            while st and st[-1] == out:
-                st = st[:-1]
-                out += 1
-            if dfs(i, first[:-1], st, out):
-                if rec is not None:
-                    rec.extend((Move.OUTPUT,) * (out - nn))
-                    rec.append(Move.PUSH_ONE)
-                return True
-        failed.add(key)
-        return False
-
-    try:
-        return dfs(0, (), (), 1)
-    finally:
-        del dfs
+        if rec is not None:
+            rec.append(move)
+    if rec is not None:
+        rec.reverse()  # the single forced path was recorded front to back
+    return True
 
 
 def _solve_pqs_of_dual(p: tuple[int, ...]) -> bool:

@@ -8,7 +8,7 @@ entry holds a name, a fast bound, a full bound and a check that takes its
 bound and returns (ok, detail); the entries that state one of the paper's
 thirteen exit criteria also carry its id.  `popsort verify --suite fast`
 runs every entry at its fast bound (n <= 6 territory, about 2 s); `--suite
-all` runs the full bounds in about 50 s (2-vCPU host, Python 3.11.7).  The
+all` runs the full bounds in about 45 s (2-vCPU host, Python 3.11.7).  The
 acceptance tests run the criterion-tagged entries at their full bounds.
 """
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .perms import (
     identity,
     inflate,
     is_simple,
-    occurrences,
     one_entry_deletions,
     parallel_alternation,
     parse,
@@ -95,23 +94,51 @@ def _members_upto(spec: ClassSpec, bound: int) -> set[tuple[int, ...]]:
 
 # -- independent naive oracles ----------------------------------------------
 
+def _subsets(hv: tuple[int, ...], sizes: Iterable[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each index subset of hv with a size in `sizes`, with its pattern."""
+    return [
+        (idx, pattern_of([hv[i] for i in idx]))
+        for k in sizes for idx in itertools.combinations(range(len(hv)), k)
+    ]
+
+
+def _cuts(block_ids: tuple[int, ...], idx: Iterable[int]) -> tuple[bool, ...]:
+    """For each pair of neighbouring entries of idx, whether a block ends
+    between them: the partition that the blocks cut idx into."""
+    ids = [block_ids[i] for i in idx]
+    return tuple(a != b for a, b in zip(ids, ids[1:]))
+
+
+def _occurring(subsets: list[tuple[tuple[int, ...], tuple[int, ...]]],
+               block_ids: tuple[int, ...]) -> set[tuple[tuple[int, ...], tuple[bool, ...]]]:
+    """The (base, cuts) pair of every divided pattern occurring on those
+    subsets of a host with these block ids.
+
+    A divided pattern occurs on an occurrence of its base when the block
+    map, pattern block to the host block holding its entries, is a
+    bijection onto the host blocks met.  Blocks on both sides are runs of
+    neighbouring entries, so that holds exactly when neighbouring entries
+    share a pattern block iff they share a host block: when the cuts agree.
+    """
+    return {(pat, _cuts(block_ids, idx)) for idx, pat in subsets}
+
+
+def _divided_key(pattern: DividedPermutation) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    return pattern.base.values, _cuts(pattern.block_ids(), range(len(pattern)))
+
+
 def naive_contains(pattern: Permutation, host: Permutation) -> bool:
     """Containment by checking every index subset of the host."""
-    return next(occurrences(pattern.values, host.values), None) is not None
+    return any(pat == pattern.values for _, pat in _subsets(host.values, (len(pattern),)))
 
 
 def naive_div_contains(pattern: DividedPermutation, host: DividedPermutation) -> bool:
-    """Divided containment: an occurrence of the base whose block map is a
-    bijection between the pattern's blocks and the host blocks it meets."""
-    pb, hb = pattern.block_ids(), host.block_ids()
-    blocks = len(set(pb))
-    for idx in occurrences(pattern.base.values, host.base.values):
-        # the map is a bijection iff there are as many (pattern block, host
-        # block) pairs as blocks on either side
-        pairs = {(pb[j], hb[i]) for j, i in enumerate(idx)}
-        if len(pairs) == blocks == len({h for _, h in pairs}):
-            return True
-    return False
+    """Divided containment: some index subset of the host has the pattern's
+    base and cuts (`_occurring`)."""
+    base, cuts = _divided_key(pattern)
+    hb = host.block_ids()
+    return any(pat == base and _cuts(hb, idx) == cuts
+               for idx, pat in _subsets(host.base.values, (len(pattern),)))
 
 
 # -- permutation core ---------------------------------------------------------
@@ -149,8 +176,9 @@ def _chk_contains_oracle(bounds: tuple[int, int]):
     pat_bound, host_bound = bounds
     pats = list(_perms_upto(pat_bound, start=1))
     for host in _perms_upto(host_bound):
+        occurring = {pat for _, pat in _subsets(host.values, range(pat_bound + 1))}
         for pat in pats:
-            if contains(pat, host) != naive_contains(pat, host):
+            if contains(pat, host) != (pat.values in occurring):
                 return False, f"contains({pat}, {host}) disagrees with naive oracle"
     return True, f"backtracking == subset scan for |pat| <= {pat_bound}, |host| <= {host_bound}"
 
@@ -182,10 +210,14 @@ def _chk_div_oracle(bound: int):
         "21", "2|1", "132", "2|13", "32|1", "2|3|1", "31|42", "2|34|1", "2341",
     ]
     pats = [parse_divided(t) for t in pattern_pool]
+    keys = [_divided_key(pat) for pat in pats]
+    sizes = range(max(map(len, pats)) + 1)
     for host_perm in _perms_upto(bound):
+        subsets = _subsets(host_perm.values, sizes)
         for host in all_divisions(host_perm):
-            for pat in pats:
-                if div_contains(pat, host) != naive_div_contains(pat, host):
+            occurring = _occurring(subsets, host.block_ids())
+            for pat, key in zip(pats, keys):
+                if div_contains(pat, host) != (key in occurring):
                     return False, f"div_contains({pat}, {host}) disagrees with oracle"
     return True, f"block-aware backtracking == naive scan for hosts n <= {bound}"
 
@@ -219,13 +251,15 @@ def _chk_division_search(bound: int):
             if any(picks):
                 sets.append(tuple(itertools.compress(divisions, picks)))
     patterns = list(dict.fromkeys(pat for pats in sets for pat in pats))
-    bit = {pat: 1 << t for t, pat in enumerate(patterns)}
-    set_bits = [sum(bit[pat] for pat in pats) for pats in sets]
+    bit = {_divided_key(pat): 1 << t for t, pat in enumerate(patterns)}
+    set_bits = [sum(bit[_divided_key(pat)] for pat in pats) for pats in sets]
+    sizes = range(max(map(len, patterns)) + 1)
     for p in _perms_upto(bound):
+        subsets = _subsets(p.values, sizes)
         divisions = list(all_divisions(p))
         # hits[d]: the patterns that occur in division d, one bit each
         hits = [
-            sum(bit[pat] for pat in patterns if naive_div_contains(pat, d))
+            sum(bit.get(key, 0) for key in _occurring(subsets, d.block_ids()))
             for d in divisions
         ]
         for pats, bits in zip(sets, set_bits):
@@ -437,6 +471,31 @@ def _chk_counts_series(bound: int):
     if counts != coeffs[1:]:
         return False, f"PS counts {counts} differ from series coefficients {coeffs[1:]}"
     return True, f"machine counts match series coefficients for n <= {bound}"
+
+
+@_check("di-is-av-3142-3241", fast=7, full=9)
+def _chk_di_class(bound: int):
+    # The class of DI's forced loop, on the basis route, the raw move graph
+    # where it is affordable, and the large Schroeder numbers: the
+    # coefficient of x^(n-1) in (1 - x - sqrt(1 - 6x + x^2)) / (2x).
+    di = ClassSpec.from_machine(MachineKind.DI)
+    members = _members_upto(di, bound)
+    if members != _members_upto(ClassSpec.from_basis([parse("3142"), parse("3241")]), bound):
+        return False, f"DI members differ from Av(3142, 3241) for n <= {bound}"
+    graph_bound = min(bound, 6)
+    for p in _perms_upto(graph_bound):
+        if machines.is_sortable_unpruned(MachineKind.DI, p) != (p.values in members):
+            return False, f"the raw DI move graph disagrees with the class on {p}"
+    x = series.PowerSeries.x(bound)
+    root = series.PowerSeries.from_coeffs([1, -6, 1], bound).sqrt()
+    schroeder = ((1 - x - root) / (2 * x)).integer_coefficients()
+    counts = count_by_length(di, bound)
+    if counts != schroeder:
+        return False, f"DI counts {counts} differ from the large Schroeder numbers {schroeder}"
+    return True, (
+        f"DI == Av(3142, 3241) for n <= {bound}, == the raw move graph for n <= "
+        f"{graph_bound}, counted by the large Schroeder numbers {counts}"
+    )
 
 
 @_check("wilf-equivalence-of-three-classes", fast=6, full=9, criterion="10")

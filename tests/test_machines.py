@@ -239,6 +239,28 @@ class TestBlockSearch:
             assert stack == tuple(sorted((v for v in read if v > mex), reverse=True))
 
 
+class TestDiForcedLoop:
+    """DI needs no search: it reads an entry that lies between its stacks'
+    tops, and otherwise pushes."""
+
+    @pytest.mark.parametrize("text", ["213", "231"])
+    def test_rule_examples(self, text):
+        # The smallest inputs that catch the two wrong rules: reading 3 onto
+        # the first stack over a second-stack top 2 wedges 213, and pushing
+        # 2 whenever that is legal leaves 3 no way past it in 231.
+        p = parse(text)
+        assert is_sortable(MachineKind.DI, p)
+        assert replay(MachineKind.DI, p, sorting_witness(MachineKind.DI, p)) == identity(3)
+
+    @pytest.mark.parametrize("p", [identity(1200), identity(1200).reverse()],
+                             ids=["identity", "reversed"])
+    def test_long_inputs(self, p):
+        # The loop holds no frame per entry, so inputs past Python's default
+        # recursion limit return.
+        assert is_sortable(MachineKind.DI, p)
+        assert replay(MachineKind.DI, p, sorting_witness(MachineKind.DI, p)) == identity(1200)
+
+
 class TestWitness:
     def test_figure_trace(self):
         w = sorting_witness(MachineKind.PS, parse("356124"))
