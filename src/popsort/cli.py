@@ -27,12 +27,10 @@ ENUMERATE_MAX_LEN = 11
 BASIS_MAX_LEN = 10
 SERIES_MAX_TERMS = 200
 # Longest permutation `sortable` accepts.  S and DI run one loop each, and
-# PS and PQS recurse once per block, at most one frame per entry.  Only SP
-# and SQP still recurse once per chosen move; forced moves (outputs,
-# flushes to the output) never recurse: at most three frames per entry
-# (SQP: input, push, dequeue; SP two), so 300 entries stay under Python's
-# default recursion limit of 1000 with room for the caller's frames.  The
-# bound stays until neither kind of recursion is left.
+# SP and SQP run the PQS search on the dual.  Only PS and PQS still
+# recurse, once per block, so at most one frame per entry, and 300 entries
+# stay well under Python's default recursion limit of 1000.  The bound
+# stays until the block searches no longer recurse.
 SORTABLE_MAX_LEN = 300
 
 # Schemas for the JSON emitted by each command (draft-07); the test suite

@@ -19,15 +19,17 @@ the raw move semantics: each legal move with the state it leads to.
 `replay` runs a move sequence through it, and `is_sortable_unpruned` is
 the slow reference search over the graph it spans, used to validate the
 pruning.
-`sorting_witness` runs the kind's solver, a forced loop for S and DI and a
-pruned depth-first search over configurations for the others.  `is_sortable`
-and `decider` (the same decision on value tuples, for callers that build
-candidates by construction) run it too, except for SP and SQP: the two sort
-one class, the duals of the PQS-sortable permutations, and decide by PQS on the dual.
+`sorting_witness` runs the kind's solver: a forced loop for S and DI, a
+pruned block-by-block search for PS and PQS, and for SP and SQP the PQS
+search on the dual, its witness read backwards.  `is_sortable` and
+`decider` (the same decision on value tuples, for callers that build
+candidates by construction) run the same solver without a witness.
 """
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
+from itertools import groupby
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .divided import DividedPattern, exists_division_avoiding, parse_divided
@@ -146,44 +148,19 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
-# Solvers, one per kind: pruned depth-first searches and two forced loops.
+# Solvers, one per kind: two block searches, two forced loops, and SP and
+# SQP read off the PQS search on the dual.
 #
-# All searches take output-type moves the moment they are legal.  Only the
+# The searches take output-type moves the moment they are legal.  Only the
 # move that feeds the device the output leaves from can make one legal, and
 # the branch making it applies it, with every output it chains, before it
-# recurses (PS: flush, SP: push, SQP: dequeue, PQS: the drain after a
-# flush; S and DI are forced loops).  No `dfs` is entered with an
-# output-type move legal.
+# recurses (PS: the flush, PQS: the drain after a flush).  No `dfs` is
+# entered with an output-type move legal.
 #
 # The searches skip moves that provably lead nowhere: the final stack must
 # stay strictly increasing read top to bottom (else its entries can never
-# leave in order), a PS pop stack must stay strictly decreasing read top to
-# bottom (a flush would wedge the stack otherwise), and an SP/SQP pop stack
-# must always hold a descending consecutive run (nothing else can ever be
-# flushed out).  In SQP the queue cannot reorder, so the values entering
-# it reach the pop stack in that order and must form a prefix of a layered
-# permutation: runs of consecutive values, each run decreasing, the runs
-# increasing (e.g. 2,1,3,6,5,4).  SQP pushes into the queue are pruned to
-# keep that invariant, so a DEQUEUE needs no check: a run leaves the queue
-# falling by one, and its last value, the least not yet in the stream, is
-# next needed, so it flushes and the next run meets an empty pop stack.
-#
-# In SP and SQP every value leaves the stack for the pop stack in the
-# same order, and a pop stack sorts exactly the layered permutations
-# (Avis & Newborn 1981), so the stream leaving the stack must be layered.
-# Both searches refuse an INPUT by two rules (`_input_dead`):
-#   1. No stack z, y, x (bottom to top) with y < z < x: x leaves before
-#      the smaller y, so the two share a run and z, between them in value,
-#      must leave between them, but z leaves after y.
-#   2. Let b end the open run (SP: the pop stack's top; SQP: `last`).
-#      The values below b must all leave the stack before anything else,
-#      in descending order, so those on the stack must be its top entries,
-#      largest on top.  While the top is below b, only a value between it
-#      and b may be read onto it.
-# Rule 2 holds its invariant in O(1) per INPUT because the push that opens
-# a run (SP: onto an empty pop stack; SQP: with no run open) checks it
-# once: `_run_buried` refuses that push if a value below the new b is not
-# among the stack's top entries in that order.
+# leave in order), and a PS pop stack must stay strictly decreasing read
+# top to bottom (a flush would wedge the stack otherwise).
 #
 # In PQS an INPUT x joins the open block, and the flush that ends the
 # block drains it onto the stack last entry first: x is fed before the
@@ -195,11 +172,23 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 #   B. x > lo and x > cap, cap the least stack value above lo: x lands
 #      above cap, which still waits for lo.
 #
-# SP and SQP sort the same class, and SP sorts p iff PQS sorts its dual,
-# so their decisions run the cheaper PQS search on the dual
-# (`_solve_pqs_of_dual`).  Their own searches run only for witnesses and
-# key their memo on the machine configuration; SQP's (lo, top, last) is a
-# function of it, so its key omits it.
+# SP and SQP are PQS run backwards.  A run never compares values, and run
+# backwards in time, with its devices in reverse order, a stack stays a
+# stack and a queue a queue, while the sorted permutation becomes its
+# dual (`dual_values`): a PQS run sorting the dual of p, read backwards,
+# feeds p through a stack, a queue and a last device and sorts it.  A
+# PQS block enters the pop stack one entry at a time and leaves it in one
+# flush; backwards, it enters the last device at once and leaves one
+# entry at a time, last first.  `_solve_pqs` reads each block in
+# consecutive INPUTs just before its flush, and drains the queue before
+# the next block, so backwards each block leaves the last device with no
+# move in between, which is one pop-stack flush to the output, and the
+# queue holds one block at a time, which SP's direct link does as well.
+# The PQS `rec` is the run back to front already, so `_solve_backwards`
+# maps it in order: OUTPUT -> INPUT, DEQUEUE -> PUSH_ONE, FLUSH_POP is
+# dropped, and a run of k INPUTs -> FLUSH_POP (SQP: k DEQUEUEs, then
+# FLUSH_POP).  With `rec` None it is the PQS decision on the dual, so SP
+# and SQP sort one class.
 #
 # PS and PQS search block by block.  A run of either cuts the input into
 # blocks, one per flush, and their `dfs(j, stack, nn)` runs only at a
@@ -230,8 +219,7 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 # applied, last first, then its own move (PS and PQS: the flush, then the
 # block's INPUTs).  `rec` therefore holds the witness back to front and
 # `sorting_witness` reverses it once; a failed branch leaves nothing to
-# roll back.  With `rec` None, a decision, no list is touched; SP and SQP
-# always record.
+# roll back.  With `rec` None, a decision, no list is touched.
 #
 # Each recursive `dfs` refers to itself, a reference cycle that would keep
 # its `failed` memo alive until the cyclic garbage collector runs; the
@@ -377,121 +365,6 @@ def _pqs_block(p: tuple[int, ...], i: int, j: int, stack: tuple[int, ...],
     return x, 0, len(p) + 1
 
 
-def _input_dead(stack: tuple[int, ...], x: int, b: int) -> bool:
-    """True if putting x on the stack is a dead INPUT (rule 1 or 2).
-
-    b ends the open run (0: none open).  Rule 2: a top below b must leave
-    before everything but the values between it and b, so x must be one
-    of them.  The caller keeps the stack values below b on top, largest
-    on top (`_run_buried`), so the top alone decides.  Rule 1 scans from
-    the top, keeping the least value seen so far: a value v with
-    least < v < x is the z of a z, y, x.
-    """
-    if stack and stack[-1] < b and not stack[-1] < x < b:
-        return True
-    least = x
-    for v in reversed(stack):
-        if v < least:
-            least = v
-        elif v < x:
-            return True
-    return False
-
-
-def _run_buried(stack: tuple[int, ...], b: int) -> bool:
-    """True if a push that opens a run ending at b leaves that run buried.
-
-    The stack values below b must be its top entries, largest on top: the
-    walk from the top passes them while each is below the one before.  A
-    value below b left past the walk lies under a value that must leave
-    after it, one not below b or a smaller one.
-    """
-    k = len(stack)
-    bound = b
-    while k and stack[k - 1] < bound:
-        k -= 1
-        bound = stack[k]
-    return any(v < b for v in stack[:k])
-
-
-def _solve_sp(p: tuple[int, ...], rec: list[Move]) -> bool:
-    n = len(p)
-    failed: set[tuple] = set()
-
-    def dfs(i: int, stack: tuple[int, ...], pop: tuple[int, ...], nn: int) -> bool:
-        # pop is kept a descending consecutive run, oldest (largest) first
-        if nn > n:
-            return True
-        key = (i, stack, pop, nn)
-        if key in failed:
-            return False
-        if (i < n and not _input_dead(stack, p[i], pop[-1] if pop else 0)
-                and dfs(i + 1, stack + (p[i],), pop, nn)):
-            rec.append(Move.INPUT)
-            return True
-        if stack and (stack[-1] == pop[-1] - 1 if pop
-                      else stack[-1] == nn or not _run_buried(stack[:-1], stack[-1])):
-            x = stack[-1]
-            run, out = ((), nn + len(pop) + 1) if x == nn else (pop + (x,), nn)
-            if dfs(i, stack[:-1], run, out):
-                if out > nn:
-                    rec.append(Move.FLUSH_POP)
-                rec.append(Move.PUSH_ONE)
-                return True
-        failed.add(key)
-        return False
-
-    try:
-        return dfs(0, (), (), 1)
-    finally:
-        del dfs
-
-
-def _solve_sqp(p: tuple[int, ...], rec: list[Move]) -> bool:
-    n = len(p)
-    failed: set[tuple] = set()
-
-    def dfs(i: int, stack: tuple[int, ...], queue: tuple[int, ...],
-            pop: tuple[int, ...], nn: int, lo: int, top: int, last: int) -> bool:
-        # The values pushed into the queue so far form a layered prefix
-        # whose closed runs hold 1..lo-1 and whose open run is top..last
-        # (last == 0: none open).
-        if nn > n:
-            return True
-        key = (i, stack, queue, pop, nn)
-        if key in failed:
-            return False
-        if (i < n and not _input_dead(stack, p[i], last)
-                and dfs(i + 1, stack + (p[i],), queue, pop, nn, lo, top, last)):
-            rec.append(Move.INPUT)
-            return True
-        if stack and (
-                stack[-1] == last - 1 if last
-                else stack[-1] == lo or not _run_buried(stack[:-1], stack[-1])):
-            x = stack[-1]
-            run_top = top if last else x
-            # pushing lo closes the run
-            runs = (run_top + 1, 0, 0) if x == lo else (lo, run_top, x)
-            if dfs(i, stack[:-1], queue + (x,), pop, nn, *runs):
-                rec.append(Move.PUSH_ONE)
-                return True
-        if queue:
-            x = queue[0]
-            run, out = ((), nn + len(pop) + 1) if x == nn else (pop + (x,), nn)
-            if dfs(i, stack, queue[1:], run, out, lo, top, last):
-                if out > nn:
-                    rec.append(Move.FLUSH_POP)
-                rec.append(Move.DEQUEUE)
-                return True
-        failed.add(key)
-        return False
-
-    try:
-        return dfs(0, (), (), (), 1, 1, 0, 0)
-    finally:
-        del dfs
-
-
 def _solve_di(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     n = len(p)
     first: list[int] = []
@@ -519,38 +392,48 @@ def _solve_di(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     return True
 
 
-def _solve_pqs_of_dual(p: tuple[int, ...]) -> bool:
-    """The SP and SQP decision: PQS sorts the dual of p iff SP does p."""
-    return _solve_pqs(dual_values(p))
+_BACKWARDS = {Move.OUTPUT: Move.INPUT, Move.DEQUEUE: Move.PUSH_ONE}
+
+
+def _solve_backwards(kind: MachineKind, p: tuple[int, ...],
+                     rec: Optional[list[Move]] = None) -> bool:
+    pqs = None if rec is None else []
+    if not _solve_pqs(dual_values(p), pqs):
+        return False
+    if rec is not None:
+        # pqs is the PQS run back to front: read forwards, the run on p
+        for move, run in groupby(pqs):
+            if move is Move.INPUT:
+                if kind is MachineKind.SQP:
+                    rec.extend(Move.DEQUEUE for _ in run)
+                rec.append(Move.FLUSH_POP)
+            elif move is not Move.FLUSH_POP:
+                rec.extend(_BACKWARDS[move] for _ in run)
+        rec.reverse()  # recorded front to back, like S and DI
+    return True
 
 
 _SOLVERS = {
     MachineKind.S: _solve_s,
     MachineKind.PS: _solve_ps,
     MachineKind.PQS: _solve_pqs,
-    MachineKind.SP: _solve_sp,
-    MachineKind.SQP: _solve_sqp,
+    MachineKind.SP: partial(_solve_backwards, MachineKind.SP),
+    MachineKind.SQP: partial(_solve_backwards, MachineKind.SQP),
     MachineKind.DI: _solve_di,
-}
-
-_DECIDERS = {
-    **_SOLVERS,
-    MachineKind.SP: _solve_pqs_of_dual,
-    MachineKind.SQP: _solve_pqs_of_dual,
 }
 
 
 def decider(kind: MachineKind) -> Callable[[tuple[int, ...]], bool]:
     """`is_sortable(kind, Permutation(v))` on value tuples, with no
-    Permutation built: the kind's own search, except that SP and SQP,
-    which sort the same class, both run the PQS search on the dual.  The
-    caller vouches that v is a bijection on 1..len(v)."""
-    return _DECIDERS[kind]
+    Permutation built: the kind's solver, which for SP and SQP is the PQS
+    search on the dual.  The caller vouches that v is a bijection on
+    1..len(v)."""
+    return _SOLVERS[kind]
 
 
 def is_sortable(kind: MachineKind, p: Permutation) -> bool:
     """True iff some move sequence of the machine outputs 1, ..., n."""
-    return _DECIDERS[kind](p.values)
+    return _SOLVERS[kind](p.values)
 
 
 def sorting_witness(kind: MachineKind, p: Permutation) -> Optional[list[Move]]:

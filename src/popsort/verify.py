@@ -2,14 +2,15 @@
 
 Each check pits at least two independent routes against each other
 (simulator vs basis vs division, closed form vs fixed point vs brute
-force, pruned vs unpruned search, backtracking vs naive enumeration) over
-exhaustive desk-scale ranges.  `_CHECKS` is the one registry of them.  An
-entry holds a name, a fast bound, a full bound and a check that takes its
-bound and returns (ok, detail); the entries that state one of the paper's
-thirteen exit criteria also carry its id.  `popsort verify --suite fast`
-runs every entry at its fast bound (n <= 6 territory, about 2 s); `--suite
-all` runs the full bounds in about 45 s (2-vCPU host, Python 3.11.7).  The
-acceptance tests run the criterion-tagged entries at their full bounds.
+force, pruned vs unpruned search, searches vs value-blind runs,
+backtracking vs naive enumeration) over exhaustive desk-scale ranges.
+`_CHECKS` is the one registry of them.  An entry holds a name, a fast
+bound, a full bound and a check that takes its bound and returns (ok,
+detail); the entries that state one of the paper's thirteen exit criteria
+also carry its id.  `popsort verify --suite fast` runs every entry at its
+fast bound (n <= 6 territory, about 3 s); `--suite all` runs the full
+bounds in about 55 s (2-vCPU host, Python 3.11.7).  The acceptance tests
+run the criterion-tagged entries at their full bounds.
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ from .perms import (
     Permutation,
     all_perms,
     contains,
+    dual_values,
     identity,
     inflate,
     is_simple,
@@ -139,6 +141,59 @@ def naive_div_contains(pattern: DividedPermutation, host: DividedPermutation) ->
     hb = host.block_ids()
     return any(pat == base and _cuts(hb, idx) == cuts
                for idx, pat in _subsets(host.base.values, (len(pattern),)))
+
+
+# The value-blind machines as device chains, first device first.
+_CHAINS = {
+    MachineKind.S: ("stack",),
+    MachineKind.PS: ("pop", "stack"),
+    MachineKind.PQS: ("pop", "queue", "stack"),
+    MachineKind.SP: ("stack", "pop"),
+    MachineKind.SQP: ("stack", "queue", "pop"),
+}
+
+
+def generated_class(kind: MachineKind, n: int) -> set[tuple[int, ...]]:
+    """The kind's members of length n, from every run of its device chain
+    fed 1..n.  No move compares values, so a run that turns 1..n into tau
+    turns the inverse of tau into 1..n: the members are the inverses of the
+    distinct outputs.  A device receives entries at its end; a stack lets
+    out its last entry, a queue its first, a pop stack all, last first."""
+    chain = _CHAINS[kind]
+    start = (0, ((),) * len(chain), ())
+    seen = {start}
+    todo = [start]
+    outputs = set()
+    while todo:
+        fed, devices, out = todo.pop()
+        if len(out) == n:
+            outputs.add(out)
+            continue
+        nexts = []
+        if fed < n:
+            nexts.append((fed + 1, (devices[0] + (fed + 1,),) + devices[1:], out))
+        for d, device in enumerate(chain):
+            held = devices[d]
+            if not held:
+                continue
+            if device == "stack":
+                moved, kept = held[-1:], held[:-1]
+            elif device == "queue":
+                moved, kept = held[:1], held[1:]
+            else:
+                moved, kept = held[::-1], ()
+            after = list(devices)
+            after[d] = kept
+            if d + 1 < len(chain):
+                after[d + 1] += moved
+                nexts.append((fed, tuple(after), out))
+            else:
+                nexts.append((fed, tuple(after), out + moved))
+        for state in nexts:
+            if state not in seen:
+                seen.add(state)
+                todo.append(state)
+    return {Permutation(out).inverse().values for out in outputs}
 
 
 # -- permutation core ---------------------------------------------------------
@@ -314,25 +369,44 @@ def _chk_pqs_triple(bound: int):
     return True, f"simulator == division == local reversals of 231-avoiders for n <= {bound}"
 
 
-# SP and SQP decide by the PQS search on the dual, so criterion 06 reads
-# their sortability off witness presence, which runs each kind's own search.
+# Criterion 06 compares the classes that the value-blind runs generate, so
+# it shares no code with the searches; `deciders-equal-generated-classes`
+# ties the searches to those classes.
 
 @_check("sp-equals-sqp", fast=5, full=7, criterion="06")
 def _chk_sp_sqp(bound: int):
-    for p in _perms_upto(bound):
-        if ((machines.sorting_witness(MachineKind.SP, p) is None)
-                != (machines.sorting_witness(MachineKind.SQP, p) is None)):
-            return False, f"SP and SQP disagree on {p}"
+    for n in range(bound + 1):
+        if generated_class(MachineKind.SP, n) != generated_class(MachineKind.SQP, n):
+            return False, f"SP and SQP generate different classes at length {n}"
     return True, f"SP == SQP for n <= {bound}"
 
 
 @_check("pqs-equals-sp-of-dual", fast=5, full=7, criterion="06")
 def _chk_pqs_dual(bound: int):
-    for p in _perms_upto(bound):
-        sp_of_dual = machines.sorting_witness(MachineKind.SP, p.dual()) is not None
-        if machines.is_sortable(MachineKind.PQS, p) != sp_of_dual:
-            return False, f"PQS vs SP-of-dual disagree on {p}"
+    for n in range(bound + 1):
+        sp_duals = {dual_values(v) for v in generated_class(MachineKind.SP, n)}
+        if generated_class(MachineKind.PQS, n) != sp_duals:
+            return False, f"PQS and the duals of SP differ at length {n}"
     return True, f"PQS(p) == SP(dual(p)) for n <= {bound}"
+
+
+@_check("deciders-equal-generated-classes", fast=7, full=8)
+def _chk_generated_classes(bound: int):
+    for kind in _CHAINS:
+        decide = machines.decider(kind)
+        for n in range(bound + 1):
+            members = generated_class(kind, n)
+            for p in all_perms(n):
+                member = p.values in members
+                if decide(p.values) != member:
+                    return False, f"{kind.name} decider disagrees with the generated class on {p}"
+                if (kind in (MachineKind.SP, MachineKind.SQP)
+                        and (machines.sorting_witness(kind, p) is not None) != member):
+                    return False, f"{kind.name} witness presence disagrees with the generated class on {p}"
+    return True, (
+        f"S, PS, PQS, SP and SQP deciders, and SP and SQP witness presence, == the classes "
+        f"their value-blind runs generate for n <= {bound}"
+    )
 
 
 @_check("di-separations", fast=None, full=None, criterion="07")

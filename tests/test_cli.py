@@ -64,7 +64,8 @@ class TestSortable:
         ("13,14,8,1,7,3,6,5,4,9,11,12,10,2", False),
     ])
     def test_sqp_length_fourteen_agrees_with_sp(self, perm, expected):
-        # Without the layered-queue pruning SQP ran for over a minute here.
+        # Both run the PQS search on the dual, so their answers agree here,
+        # past the lengths the registry scans.
         code, sqp = run_json("sortable", "--machine", "sqp", perm)
         assert code == 0
         _, sp = run_json("sortable", "--machine", "sp", perm)
@@ -72,7 +73,8 @@ class TestSortable:
 
     @pytest.mark.parametrize("machine", [k.value for k in MachineKind])
     def test_length_bound(self, machine, capsys):
-        # Past the bound the recursive searches would end in RecursionError.
+        # Past the bound the CLI refuses the input: PS and PQS still recurse
+        # once per block and would end in RecursionError on long enough ones.
         n = cli.SORTABLE_MAX_LEN
         code, doc = run_json("sortable", "--machine", machine, str(identity(n)))
         assert code == 0
