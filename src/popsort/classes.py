@@ -35,6 +35,23 @@ there, since k + 1 is the largest entry.  So the walk asks
 the same argument the division search tests only the occurrences that
 start at the entry it just placed.  Specs without an anchored test get
 `member_values` with s ignored.
+
+The PQS spec's walk oracle, `child_run`, starts from the parent's run:
+the block path that sorts it (`machines.PqsRun`).  k + 1 is the largest
+value, and a value is only dequeued onto a larger top, so k + 1 can only
+land on an empty stack, where it stays at the bottom and blocks nothing
+until 1..k have been output.  So the parent's path, with k + 1 put in a
+block that holds site s, sorts the child when the stack is empty at the
+moment k + 1 is dequeued, and one replay of the path answers every site.
+There are four cases: k + 1 inside a block or starting the next one
+needs the stack empty after the entry at s; a block of its own at a
+boundary s needs it empty at s; ending the block [a, s) needs it empty
+at a; and s = 0 and s = k always pass.  A site that passes is a member
+with a known path and needs no search.  Any other site gets the full
+search, since another path may still sort the child: the test only ever
+accepts, so counts and bases are those of the decision.  A member's run
+is only built when the walk will ask about its children; basis and
+predicate specs carry none.
 """
 from __future__ import annotations
 
@@ -42,7 +59,7 @@ import hashlib
 import multiprocessing
 from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import machines
 from .machines import MachineKind
@@ -83,10 +100,13 @@ class ClassSpec:
     `p.values`.  `child_member(vals, s)` is the oracle the walk asks about
     a child, a member with its maximum inserted at site s; basis specs
     test only the occurrences through that site, and a spec built without
-    one gets `member_values` with s ignored.  The oracle must describe a
+    one gets `member_values` with s ignored.  `child_run(vals, s, run,
+    expand)`, when given, replaces `child_member` in the walk: it is also
+    handed the parent's run, and answers False for a non-member, else the
+    child's run when `expand`, else True.  The oracle must describe a
     downward-closed class, since every count and basis is read off the
-    walk; when the oracles pickle, `count_by_length` hands the walk's to
-    worker processes as it is.
+    walk; when the oracles pickle, `count_by_length` hands the spec and
+    each subtree's run to worker processes as they are.
     """
 
     canonical_text: str
@@ -94,6 +114,9 @@ class ClassSpec:
     # which compare by identity (`from_basis` builds new partials each call).
     member_values: Callable[[tuple[int, ...]], bool] = field(compare=False)
     child_member: Callable[[tuple[int, ...], int], bool] = field(  # type: ignore[assignment]
+        default=None, compare=False
+    )
+    child_run: Callable[[tuple[int, ...], int, Any, bool], Any] | None = field(
         default=None, compare=False
     )
 
@@ -125,7 +148,8 @@ class ClassSpec:
 
     @staticmethod
     def from_machine(kind: MachineKind) -> "ClassSpec":
-        return ClassSpec(f"machine:{kind.value}", machines.decider(kind))
+        child_run = machines.pqs_child_run if kind is MachineKind.PQS else None
+        return ClassSpec(f"machine:{kind.value}", machines.decider(kind), child_run=child_run)
 
     @staticmethod
     def from_predicate(name: str, member: Callable[[Permutation], bool]) -> "ClassSpec":
@@ -133,62 +157,72 @@ class ClassSpec:
 
 
 def _walk(
-    child_member: Callable[[tuple[int, ...], int], bool],
+    spec: ClassSpec,
     max_len: int,
     vals: tuple[int, ...] = (),
     sites: int = 1,
+    run: Any = None,
     rejected: list[tuple[int, ...]] | None = None,
-) -> Iterator[tuple[tuple[int, ...], int]]:
+    expand_to: int | None = None,
+) -> Iterator[tuple[tuple[int, ...], int, Any]]:
     """Members of length <= max_len below the member vals, depth first.
 
-    Yields (values, candidates) for each member, where bit s of the
+    Yields (values, candidates, run) for each member, where bit s of the
     candidate mask marks site s as one the member's children may use;
-    `sites` is that mask for vals itself.  Candidates the oracle rejects
-    are appended to `rejected` when it is given.  The oracle is
-    `ClassSpec.child_member`, asked about each candidate c with the site
-    s of its maximum: c is a member with k + 1 inserted, a bijection by
-    construction, so none is validated.
+    `sites` and `run` are those of vals itself.  Candidates the oracle
+    rejects are appended to `rejected` when it is given.  The oracle is
+    asked about each candidate c with the site s of its maximum: c is a
+    member with k + 1 inserted, a bijection by construction, so none is
+    validated.  It is `ClassSpec.child_member`, or `child_run` when the
+    spec has one, which is also handed the parent's run and asked for
+    the child's run when the child is shorter than `expand_to` (default
+    max_len; count_by_length's tasks go on below the members it yields).
     """
-    stack = [(vals, sites)] if len(vals) < max_len else []
+    child_member, child_run = spec.child_member, spec.child_run
+    expand_to = max_len if expand_to is None else expand_to
+    stack = [(vals, sites, run)] if len(vals) < max_len else []
     while stack:
-        v, cand = stack.pop()
+        v, cand, run = stack.pop()
         k = len(v)
         top = (k + 1,)
+        expand = k + 1 < expand_to
         active = 0
         children = []
         for s in range(k + 1):
             if cand >> s & 1:
                 c = v[:s] + top + v[s:]
-                if child_member(c, s):
+                r = child_member(c, s) if child_run is None else child_run(c, s, run, expand)
+                if r:
                     active |= 1 << s
-                    children.append((s, c))
+                    children.append((s, c, r))
                 elif rejected is not None:
                     rejected.append(c)
         deeper = k + 2 <= max_len
-        for s, c in children:
+        for s, c, r in children:
             # Sites up to s keep their index; site s of v splits into the
             # two sites either side of k + 1; later sites shift right.
             c_sites = (active & ((2 << s) - 1)) | (active >> s << (s + 1))
-            yield c, c_sites
+            yield c, c_sites, r
             if deeper:
-                stack.append((c, c_sites))
+                stack.append((c, c_sites, r))
 
 
 def class_members(spec: ClassSpec, max_len: int) -> Iterator[tuple[int, ...]]:
     """Value tuples of a spec's members of length 1..max_len, each
     yielded once, in the order of the generating-tree walk."""
-    return (v for v, _ in _walk(spec.child_member, max_len))
+    return (v for v, _, _ in _walk(spec, max_len))
 
 
 def _count_walk(
-    child_member: Callable[[tuple[int, ...], int], bool],
+    spec: ClassSpec,
     max_n: int,
     vals: tuple[int, ...] = (),
     sites: int = 1,
+    run: Any = None,
 ) -> list[int]:
     """Members below vals by length: entry k counts those of length k."""
     counts = [0] * (max_n + 1)
-    for v, _ in _walk(child_member, max_n, vals, sites):
+    for v, _, _ in _walk(spec, max_n, vals, sites, run):
         counts[len(v)] += 1
     return counts
 
@@ -204,23 +238,23 @@ def count_by_length(spec: ClassSpec, max_n: int, jobs: int = 1) -> list[int]:
     The generating tree is walked to length max_n once.  With jobs > 1 and
     max_n > _PARTITION_LEN the walk is split into the subtrees below the
     members of length _PARTITION_LEN, one task each, on at most that many
-    worker processes; each worker is handed the spec's oracle and returns
-    its counts by length, and the lists are summed in a fixed order, so the
+    worker processes; each worker is handed the spec and the member's run
+    and returns its counts by length, and the lists are summed in a fixed order, so the
     result is identical for any job count.
     """
     if jobs > 1 and max_n > _PARTITION_LEN:
         counts = [0] * (max_n + 1)
         tasks = []
-        for v, sites in _walk(spec.child_member, _PARTITION_LEN):
+        for v, sites, run in _walk(spec, _PARTITION_LEN, expand_to=max_n):
             counts[len(v)] += 1
             if len(v) == _PARTITION_LEN:
-                tasks.append((spec.child_member, max_n, v, sites))
+                tasks.append((spec, max_n, v, sites, run))
         if tasks:
             with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
                 for sub in pool.starmap(_count_walk, tasks):
                     counts = [a + b for a, b in zip(counts, sub)]
         return counts[1:]
-    return _count_walk(spec.child_member, max_n)[1:]
+    return _count_walk(spec, max_n)[1:]
 
 
 def count_members(spec: ClassSpec, n: int) -> int:
@@ -255,7 +289,7 @@ def compute_basis(spec: ClassSpec, max_len: int) -> list[Permutation]:
             "basis mining expects a class containing 1"
         )
     rejected: list[tuple[int, ...]] = []
-    for _ in _walk(spec.child_member, max_len, (1,), 0b11, rejected):
+    for _ in _walk(spec, max_len, (1,), 0b11, rejected=rejected):
         pass
     rejected.sort(key=_by_length)
     # Rejected candidates share deletions; each is put to the oracle once.

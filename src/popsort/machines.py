@@ -24,9 +24,13 @@ pruned block-by-block search for PS and PQS, and for SP and SQP the PQS
 search on the dual, its witness read backwards.  `is_sortable` and
 `decider` (the same decision on value tuples, for callers that build
 candidates by construction) run the same solver without a witness.
+`pqs_child_run` is the PQS class walk's oracle: it accepts a child its
+parent's sorting block path still sorts with no search (`PqsRun`), and
+runs the PQS search on the rest.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from enum import Enum
 from functools import partial
 from itertools import groupby
@@ -203,6 +207,28 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 # blocks p[j:i] are then tried for i = m down to j + 1, longest first,
 # which prefers INPUT to a flush as `successors` orders them.
 #
+# The PQS class walk (`classes._walk`) reuses a member's path.  Let v, of
+# length k, be sorted by the block path with ends `ends`, and c be v with
+# k + 1 inserted at site s.  A value is only dequeued onto a larger top,
+# so k + 1 can only land on an empty stack, and there it stays at the
+# bottom: it refuses no later dequeue, since every other value is
+# smaller, and it takes no output until 1..k have left.  So v's path,
+# with k + 1 put in a block that holds site s, sorts c when the stack is
+# empty at the moment k + 1 is dequeued.  A block drains last entry
+# first, so one replay of v's path answers every site, from the stack
+# after each entry's dequeue and forced outputs and the stack at each
+# boundary:
+#   - k + 1 joins the block holding v[s] (inside it, or starting it at a
+#     boundary s) and is dequeued just after v[s]: empty after v[s];
+#   - a block of its own at boundary s: empty at s;
+#   - the end of the block [a, s) before boundary s, dequeued first in
+#     it: empty at a.
+# s = 0 and s = k always pass: the stack is empty at both ends of the
+# run, so k + 1 can be a block of its own there.  The cases are tried in
+# that order.  A site that passes is a member with a known path, so its
+# child needs no search; a site that fails goes to `_solve_pqs`, since
+# another path may still sort c, so the test never rejects.
+#
 # With no output legal, DI reads x = p[i] when f < x < s for the tops f
 # and s of its stacks (an empty stack bounds nothing), else it pushes f.
 # Refusing x > s never loses: s is not next needed, so it waits on a
@@ -214,12 +240,14 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 # Reading x first, the same reads and pushes, then pushing x, f1, ..., fk
 # and outputting them reaches the run's state once it has pushed x.
 #
-# Witnesses are recorded on the way back up.  A branch appends to `rec`
-# only once the child it leads to has returned True: the forced moves it
-# applied, last first, then its own move (PS and PQS: the flush, then the
-# block's INPUTs).  `rec` therefore holds the witness back to front and
-# `sorting_witness` reverses it once; a failed branch leaves nothing to
-# roll back.  With `rec` None, a decision, no list is touched.
+# The block searches record witnesses on the way back up.  A branch
+# appends to `rec` only once the child it leads to has returned True: the
+# forced moves it applied, last first, then its own move (the flush, then
+# the block's INPUTs).  `rec` therefore holds a PS or PQS witness back to
+# front, and `sorting_witness` reverses it once; a failed branch leaves
+# nothing to roll back.  The forced loops, and the backwards read of the
+# PQS run, record front to back, and their witness is never reversed.
+# With `rec` None, a decision, no list is touched.
 #
 # Each recursive `dfs` refers to itself, a reference cycle that would keep
 # its `failed` memo alive until the cyclic garbage collector runs; the
@@ -245,8 +273,6 @@ def _solve_s(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
             return False
         if rec is not None:
             rec.append(move)
-    if rec is not None:
-        rec.reverse()  # the single forced path was recorded front to back
     return True
 
 
@@ -387,8 +413,6 @@ def _solve_di(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
             return False
         if rec is not None:
             rec.append(move)
-    if rec is not None:
-        rec.reverse()  # the single forced path was recorded front to back
     return True
 
 
@@ -409,7 +433,6 @@ def _solve_backwards(kind: MachineKind, p: tuple[int, ...],
                 rec.append(Move.FLUSH_POP)
             elif move is not Move.FLUSH_POP:
                 rec.extend(_BACKWARDS[move] for _ in run)
-        rec.reverse()  # recorded front to back, like S and DI
     return True
 
 
@@ -421,6 +444,10 @@ _SOLVERS = {
     MachineKind.SQP: partial(_solve_backwards, MachineKind.SQP),
     MachineKind.DI: _solve_di,
 }
+
+
+# The solvers that record their witness back to front.
+_BLOCK_SEARCHES = (MachineKind.PS, MachineKind.PQS)
 
 
 def decider(kind: MachineKind) -> Callable[[tuple[int, ...]], bool]:
@@ -441,7 +468,8 @@ def sorting_witness(kind: MachineKind, p: Permutation) -> Optional[list[Move]]:
     rec: list[Move] = []
     if not _SOLVERS[kind](p.values, rec):
         return None
-    rec.reverse()
+    if kind in _BLOCK_SEARCHES:
+        rec.reverse()
     return rec
 
 
@@ -478,6 +506,123 @@ def is_sortable_unpruned(kind: MachineKind, p: Permutation) -> bool:
                 seen.add(nxt)
                 todo.append(nxt)
     return False
+
+
+# ---------------------------------------------------------------------------
+# PQS runs for the class walk: a member's block path and its site test.
+# ---------------------------------------------------------------------------
+
+# How a site's child takes the parent's path, per the site test in the
+# "Solvers" comment; _NO: the test does not accept the site.
+_NO, _JOIN, _OWN, _END = range(4)
+
+
+class PqsRun(NamedTuple):
+    """A PQS member's sorting block path and its site test.
+
+    `ends` are the block ends, ascending, the last one len(v).  `cases[s]`
+    says how k + 1 inserted at site s joins the path: _JOIN the block
+    holding v[s], _OWN a block of its own at boundary s, _END the block
+    ending at boundary s, or _NO when the test does not accept site s.
+    """
+
+    ends: tuple[int, ...]
+    cases: tuple[int, ...]
+
+
+def pqs_run(v: tuple[int, ...], ends: tuple[int, ...]) -> PqsRun:
+    """The site test of v's block path: one replay of it."""
+    k = len(v)
+    cases = [_NO] * (k + 1)
+    stack: list[int] = []
+    nn = 1
+    j = 0
+    was_empty = True  # the stack at the boundary before j
+    for i in ends:
+        empty = not stack  # the stack at boundary j
+        for t in range(i - 1, j - 1, -1):
+            stack.append(v[t])
+            while stack and stack[-1] == nn:
+                stack.pop()
+                nn += 1
+            if not stack:
+                cases[t] = _JOIN
+        if cases[j] == _NO:
+            cases[j] = _OWN if empty else _END if was_empty else _NO
+        was_empty = empty
+        j = i
+    cases[k] = _OWN
+    return PqsRun(ends, tuple(cases))
+
+
+def pqs_child_ends(run: PqsRun, s: int) -> Optional[tuple[int, ...]]:
+    """The block ends of the path that sorts the child made at site s, or
+    None when the site test does not accept s."""
+    case = run.cases[s]
+    if case == _NO:
+        return None
+    if case == _END:  # the block ending at s grows by one
+        return tuple(b + (b >= s) for b in run.ends)
+    ends = tuple(b + (b > s) for b in run.ends)
+    if case == _OWN:  # a new end s + 1 after the ends up to s
+        cut = bisect_right(run.ends, s)
+        ends = ends[:cut] + (s + 1,) + ends[cut:]
+    return ends
+
+
+def _block_ends(rec: list[Move], n: int) -> tuple[int, ...]:
+    """The block ends of a `_solve_pqs` witness, recorded back to front:
+    each block's INPUTs follow its flush."""
+    ends = []
+    i = n
+    for move in rec:
+        if move is Move.FLUSH_POP:
+            ends.append(i)
+        elif move is Move.INPUT:
+            i -= 1
+    ends.reverse()
+    return tuple(ends)
+
+
+def pqs_child_run(c: tuple[int, ...], s: int, parent: Optional[PqsRun],
+                  expand: bool) -> PqsRun | bool:
+    """The walk's PQS oracle: is c, a member with len(c) inserted at site
+    s, PQS-sortable?  `parent` is that member's run (None: no path known).
+
+    A site the parent's test accepts needs no search; any other site gets
+    `_solve_pqs`.  A member's answer is its run when `expand` (the walk
+    will ask about its children), else True; a non-member's is False.
+    A searched member's path is read off the search's witness.
+    """
+    if parent is not None and parent.cases[s] != _NO:
+        return pqs_run(c, pqs_child_ends(parent, s)) if expand else True
+    if not expand:
+        return _solve_pqs(c)
+    rec: list[Move] = []
+    if not _solve_pqs(c, rec):
+        return False
+    return pqs_run(c, _block_ends(rec, len(c)))
+
+
+def pqs_path_moves(v: tuple[int, ...], ends: tuple[int, ...]) -> list[Move]:
+    """The moves of the block path with these ends on v: each block read,
+    flushed and drained through the stack, every forced output taken."""
+    moves: list[Move] = []
+    stack: list[int] = []
+    nn = 1
+    j = 0
+    for i in ends:
+        moves.extend((Move.INPUT,) * (i - j))
+        moves.append(Move.FLUSH_POP)
+        for t in range(i - 1, j - 1, -1):
+            stack.append(v[t])
+            moves.append(Move.DEQUEUE)
+            while stack and stack[-1] == nn:
+                stack.pop()
+                nn += 1
+                moves.append(Move.OUTPUT)
+        j = i
+    return moves
 
 
 # ---------------------------------------------------------------------------

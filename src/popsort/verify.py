@@ -28,7 +28,7 @@ from .antichain import (
     forbidden_divided_patterns,
     in_avoidance_class,
 )
-from .classes import ClassSpec, class_members, compute_basis, count_by_length, simples_in_class, structural_member, wilf_table
+from .classes import ClassSpec, _walk, class_members, compute_basis, count_by_length, simples_in_class, structural_member, wilf_table
 from .divided import (
     DividedPermutation,
     all_divisions,
@@ -506,6 +506,34 @@ def _chk_pqs_basis(bound: int):
     if bound >= PQS_BASIS_CONJECTURE_LEN and len(basis) != PQS_BASIS_CONJECTURED_COUNT:
         detail += "; CONJECTURE-MISMATCH"
     return True, detail
+
+
+@_check("pqs-walk-site-test-sound", fast=6, full=8)
+def _chk_pqs_site_test(bound: int):
+    # The PQS walk takes a child its parent's site test accepts with no
+    # search.  On the runs the walk itself carries, each member's path must
+    # sort it, and each such child must be sortable and sorted by its path.
+    pqs = MachineKind.PQS
+    accepted = 0
+    for v, _, run in _walk(ClassSpec.from_machine(pqs), bound):
+        if len(v) == bound:
+            continue
+        if machines.replay(pqs, Permutation(v), machines.pqs_path_moves(v, run.ends)) != identity(len(v)):
+            return False, f"the path the walk carries for {Permutation(v)} does not sort it"
+        for s in range(len(v) + 1):
+            ends = machines.pqs_child_ends(run, s)
+            if ends is None:
+                continue
+            accepted += 1
+            c = Permutation(v[:s] + (len(v) + 1,) + v[s:])
+            if not machines.is_sortable(pqs, c):
+                return False, f"the site test accepts {c}, which PQS cannot sort"
+            if machines.replay(pqs, c, machines.pqs_path_moves(c.values, ends)) != identity(len(c)):
+                return False, f"the path the site test gives {c} does not sort it"
+    return True, (
+        f"{accepted} children the PQS walk's site test accepts for n <= {bound} are "
+        "sortable, and their paths replay to the identity"
+    )
 
 
 @_check("structural-recognizer-equals-avoidance", fast=6, full=9, criterion="09")

@@ -39,6 +39,7 @@ FAST_FLOORS = {
     "substitution-decomposition-roundtrip": 6,
     "undivided-div-contains-degenerates-to-contains": 5,
     "pqs-triple-characterization": 6,
+    "pqs-walk-site-test-sound": 6,
     "single-stack-sorts-iff-avoids-231": 6,
     "ps-sum-closure": 7,
     "division-search-equals-naive-first-division": 4,

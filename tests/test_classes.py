@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import perm_strategy
-from popsort import classes
+from popsort import classes, machines
 from popsort.classes import (
     ClassSpec,
     MalformedOracleError,
@@ -19,7 +19,7 @@ from popsort.classes import (
     structural_member,
     wilf_table,
 )
-from popsort.machines import MachineKind, PS_BASIS, is_sortable, is_sortable_unpruned
+from popsort.machines import MachineKind, PQS_SEQUENCE, PS_BASIS, is_sortable, is_sortable_unpruned
 from popsort.perms import (
     EMPTY,
     Permutation,
@@ -234,7 +234,7 @@ class TestWalkAgainstReferences:
     @pytest.mark.parametrize("spec, max_n", [
         pytest.param(spec, max_n, id=str(spec))
         for spec, max_n in (
-            (ClassSpec.from_machine(MachineKind.PQS), 7), (PS_BASIS_SPEC, 8), (STRUCTURAL_SPEC, 7)
+            (ClassSpec.from_machine(MachineKind.PQS), 8), (PS_BASIS_SPEC, 8), (STRUCTURAL_SPEC, 7)
         )
     ])
     def test_jobs_split_by_subtree(self, spec, max_n):
@@ -287,6 +287,9 @@ class TestValuesOracle:
             child_member=lambda vals, s: (
                 children.append((vals, s)) or spec.child_member(vals, s)
             ),
+            child_run=spec.child_run and (lambda vals, s, run, expand: (
+                children.append((vals, s)) or spec.child_run(vals, s, run, expand)
+            )),
         )
         count_by_length(spy, 7)
         compute_basis(spy, 7)
@@ -314,6 +317,29 @@ class TestValuesOracle:
             assert oracle(vals) == spec.member_values(vals), vals
             assert child(vals, s) == spec.child_member(vals, s), vals
         assert oracle(()) == spec.member_values(())
+        if spec.child_run is not None:
+            # ... and each member's run, which the PQS walk's oracle reads.
+            grow = pickle.loads(pickle.dumps(spec.child_run))
+            for vals, _, run in classes._walk(spec, 6):
+                if len(vals) < 6:
+                    copy = pickle.loads(pickle.dumps(run))
+                    assert copy == run, vals
+                    for s in range(len(vals) + 1):
+                        c = vals[:s] + (len(vals) + 1,) + vals[s:]
+                        for expand in (False, True):
+                            assert grow(c, s, copy, expand) == spec.child_run(c, s, run, expand)
+
+    def test_pqs_walk_searches_few_children(self, monkeypatch):
+        # The parent's site test accepts most PQS children with no search:
+        # without it the walk to 7 runs 5,505 searches, with it about 1,355.
+        searched = []
+        search = machines._solve_pqs
+        monkeypatch.setattr(
+            machines, "_solve_pqs", lambda p, rec=None: searched.append(p) or search(p, rec)
+        )
+        spec = ClassSpec.from_machine(MachineKind.PQS)
+        assert count_by_length(spec, 7) == list(PQS_SEQUENCE[:7])
+        assert 0 < len(searched) < 2000
 
     @pytest.mark.parametrize("spec", WALKED_SPECS, ids=str)
     def test_count_builds_no_permutation(self, spec, monkeypatch):
