@@ -19,9 +19,11 @@ the raw move semantics: each legal move with the state it leads to.
 `replay` runs a move sequence through it, and `is_sortable_unpruned` is
 the slow reference search over the graph it spans, used to validate the
 pruning.
-`sorting_witness` runs the kind's solver: a forced loop for S and DI, a
-pruned block-by-block search for PS and PQS, and for SP and SQP the PQS
-search on the dual, its witness read backwards.  `is_sortable` and
+`sorting_witness` runs the kind's solver: a forced loop for S and DI; for
+PS and PQS a pruned block-by-block search that hands back its block
+path, which `block_path_moves` writes out as moves; and for SP and SQP
+the PQS search on the dual, its witness read backwards.  No solver
+recurses.  `is_sortable` and
 `decider` (the same decision on value tuples, for callers that build
 candidates by construction) run the same solver without a witness.
 `pqs_child_run` is the PQS class walk's oracle: it accepts a child its
@@ -158,8 +160,8 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 # The searches take output-type moves the moment they are legal.  Only the
 # move that feeds the device the output leaves from can make one legal, and
 # the branch making it applies it, with every output it chains, before it
-# recurses (PS: the flush, PQS: the drain after a flush).  No `dfs` is
-# entered with an output-type move legal.
+# moves on to the next boundary (PS: the flush, PQS: the drain after a
+# flush).  No boundary is reached with an output-type move legal.
 #
 # The searches skip moves that provably lead nowhere: the final stack must
 # stay strictly increasing read top to bottom (else its entries can never
@@ -188,24 +190,29 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 # the next block, so backwards each block leaves the last device with no
 # move in between, which is one pop-stack flush to the output, and the
 # queue holds one block at a time, which SP's direct link does as well.
-# The PQS `rec` is the run back to front already, so `_solve_backwards`
-# maps it in order: OUTPUT -> INPUT, DEQUEUE -> PUSH_ONE, FLUSH_POP is
-# dropped, and a run of k INPUTs -> FLUSH_POP (SQP: k DEQUEUEs, then
-# FLUSH_POP).  With `rec` None it is the PQS decision on the dual, so SP
-# and SQP sort one class.
+# `_solve_backwards` maps the PQS witness back to front: OUTPUT -> INPUT,
+# DEQUEUE -> PUSH_ONE, FLUSH_POP is dropped, and a run of k INPUTs ->
+# FLUSH_POP (SQP: k DEQUEUEs, then FLUSH_POP).  With `rec` None it is the
+# PQS decision on the dual, so SP and SQP sort one class.
 #
 # PS and PQS search block by block.  A run of either cuts the input into
-# blocks, one per flush, and their `dfs(j, stack, nn)` runs only at a
-# block boundary j: pop stack and queue empty, every forced output taken.
-# There (stack, nn) is a function of j.  The outputs 1..nn-1 were all
-# read, and the stack holds the other values of p[:j], strictly
-# decreasing towards its top; a read nn would be its top and be output,
-# so nn = mex(p[:j]) and the stack holds the values of p[:j] above nn,
-# largest at the bottom.  So `failed` is a set of boundaries, and a block
-# grows in a loop: from j to its longest admissible end m (PS: while the
-# input increases; PQS: while `_pqs_block` admits the next entry).  The
-# blocks p[j:i] are then tried for i = m down to j + 1, longest first,
-# which prefers INPUT to a flush as `successors` orders them.
+# blocks, one per flush, and the search branches only at a block boundary
+# j: pop stack and queue empty, every forced output taken.  There
+# (stack, nn) is a function of j.  The outputs 1..nn-1 were all read, and
+# the stack holds the other values of p[:j], strictly decreasing towards
+# its top; a read nn would be its top and be output, so nn = mex(p[:j])
+# and the stack holds the values of p[:j] above nn, largest at the bottom.
+# So `failed` is a set of boundaries, and a block grows in a loop: from j
+# to its longest admissible end m (PS: while the input increases; PQS:
+# while `_pqs_block` admits the next entry).  The blocks p[j:i] are then
+# tried for i = m down to j + 1, longest first, which prefers INPUT to a
+# flush as `successors` orders them; a block ending at a failed boundary
+# is skipped.  The search is a loop over a list of frames (j, stack, nn,
+# i), one per block taken, i the block's end: it pushes a frame to take a
+# block, and pops one to try the next shorter block when a boundary
+# fails.  When it succeeds the frames are the block path: each end i with
+# the next-needed value after it, the nn of the next frame.  A witness is
+# that path written out (`block_path_moves`); a decision records nothing.
 #
 # The PQS class walk (`classes._walk`) reuses a member's path.  Let v, of
 # length k, be sorted by the block path with ends `ends`, and c be v with
@@ -239,19 +246,6 @@ def successors(kind: MachineKind, p: tuple[int, ...],
 # nothing else, and push only values read above x, onto s or each other.
 # Reading x first, the same reads and pushes, then pushing x, f1, ..., fk
 # and outputting them reaches the run's state once it has pushed x.
-#
-# The block searches record witnesses on the way back up.  A branch
-# appends to `rec` only once the child it leads to has returned True: the
-# forced moves it applied, last first, then its own move (the flush, then
-# the block's INPUTs).  `rec` therefore holds a PS or PQS witness back to
-# front, and `sorting_witness` reverses it once; a failed branch leaves
-# nothing to roll back.  The forced loops, and the backwards read of the
-# PQS run, record front to back, and their witness is never reversed.
-# With `rec` None, a decision, no list is touched.
-#
-# Each recursive `dfs` refers to itself, a reference cycle that would keep
-# its `failed` memo alive until the cyclic garbage collector runs; the
-# searches delete the name on return so that the memo is freed at once.
 # ---------------------------------------------------------------------------
 
 
@@ -276,43 +270,39 @@ def _solve_s(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     return True
 
 
-def _solve_ps(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
+def _solve_ps(p: tuple[int, ...], path: Optional[list[tuple[int, int]]] = None) -> bool:
     n = len(p)
     failed: set[int] = set()
-
-    def dfs(j: int, stack: tuple[int, ...], nn: int) -> bool:
-        # a block boundary: (stack, nn) is a function of j
-        if nn > n:
-            return True
-        if j in failed:
-            return False
-        m = j + 1  # the block p[j:i] must increase, so i <= m
-        while m < n and p[m] > p[m - 1]:
-            m += 1
-        for i in range(m, j, -1):
-            if stack and p[i - 1] > stack[-1]:
+    frames: list[tuple[int, tuple[int, ...], int, int]] = []
+    j, stack, nn, i = 0, (), 1, None
+    while nn <= n:
+        if i is None:  # a new boundary: the block p[j:i] must increase
+            i = j + 1
+            while i < n and p[i] > p[i - 1]:
+                i += 1
+        for i in range(i, j, -1):
+            if i in failed or stack and p[i - 1] > stack[-1]:
                 continue
             st = stack + p[j:i][::-1]
             out = nn
             while st and st[-1] == out:
                 st = st[:-1]
                 out += 1
-            if dfs(i, st, out):
-                if rec is not None:
-                    rec.extend((Move.OUTPUT,) * (out - nn))
-                    rec.append(Move.FLUSH_POP)
-                    rec.extend((Move.INPUT,) * (i - j))
-                return True
-        failed.add(j)
-        return False
+            frames.append((j, stack, nn, i))
+            j, stack, nn, i = i, st, out, None
+            break
+        else:
+            failed.add(j)
+            if not frames:
+                return False
+            j, stack, nn, i = frames.pop()
+            i -= 1
+    if path is not None:
+        path.extend(zip([f[3] for f in frames], [f[2] for f in frames[1:]] + [nn]))
+    return True
 
-    try:
-        return dfs(0, (), 1)
-    finally:
-        del dfs
 
-
-def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
+def _solve_pqs(p: tuple[int, ...], path: Optional[list[tuple[int, int]]] = None) -> bool:
     # The stack only receives entries from the queue front, so while the
     # queue is nonempty nothing else can touch the stack: a legal dequeue
     # commutes with any input/flush and may be taken at once, and a blocked
@@ -322,51 +312,44 @@ def _solve_pqs(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     # branch point.
     n = len(p)
     failed: set[int] = set()
-
-    def dfs(j: int, stack: tuple[int, ...], nn: int) -> bool:
-        # a block boundary: (stack, nn) is a function of j
-        if nn > n:
-            return True
-        if j in failed:
-            return False
-        m = j  # the blocks p[j:i] that rules A and B admit have i <= m
-        block = (0, 0, 0)
-        while m < n:
-            grown = _pqs_block(p, m, j, stack, block)
-            if grown is None:
-                break
-            block = grown
-            m += 1
-        for i in range(m, j, -1):
+    frames: list[tuple[int, tuple[int, ...], int, int]] = []
+    j, stack, nn, i = 0, (), 1, None
+    while nn <= n:
+        if i is None:  # a new boundary: rules A and B admit blocks p[j:i'], i' <= i
+            i = j
+            block = (0, 0, 0)
+            while i < n:
+                grown = _pqs_block(p, i, j, stack, block)
+                if grown is None:
+                    break
+                block = grown
+                i += 1
+        for i in range(i, j, -1):
+            if i in failed:
+                continue
             st = stack
             out = nn
-            drain: list[Move] | None = [] if rec is not None else None
             for t in range(i - 1, j - 1, -1):
                 x = p[t]
                 if st and x > st[-1]:
                     break
                 st = st + (x,)
-                if drain is not None:
-                    drain.append(Move.DEQUEUE)
                 while st and st[-1] == out:
                     st = st[:-1]
                     out += 1
-                    if drain is not None:
-                        drain.append(Move.OUTPUT)
             else:
-                if dfs(i, st, out):
-                    if drain is not None:
-                        rec.extend(reversed(drain))
-                        rec.append(Move.FLUSH_POP)
-                        rec.extend((Move.INPUT,) * (i - j))
-                    return True
-        failed.add(j)
-        return False
-
-    try:
-        return dfs(0, (), 1)
-    finally:
-        del dfs
+                frames.append((j, stack, nn, i))
+                j, stack, nn, i = i, st, out, None
+                break
+        else:
+            failed.add(j)
+            if not frames:
+                return False
+            j, stack, nn, i = frames.pop()
+            i -= 1
+    if path is not None:
+        path.extend(zip([f[3] for f in frames], [f[2] for f in frames[1:]] + [nn]))
+    return True
 
 
 def _pqs_block(p: tuple[int, ...], i: int, j: int, stack: tuple[int, ...],
@@ -416,17 +399,47 @@ def _solve_di(p: tuple[int, ...], rec: Optional[list[Move]] = None) -> bool:
     return True
 
 
+def block_path_moves(kind: MachineKind, v: tuple[int, ...],
+                     path: Iterable[tuple[int, int]]) -> list[Move]:
+    """The PS or PQS moves of a block path on v: each block read and
+    flushed, then (PQS) drained through the stack, every forced output
+    taken.  The path holds each block end with the next-needed value
+    after it, so a PS block's outputs are counted, not simulated."""
+    INPUT, FLUSH_POP, DEQUEUE, OUTPUT = Move.INPUT, Move.FLUSH_POP, Move.DEQUEUE, Move.OUTPUT
+    moves: list[Move] = []
+    stack: list[int] = []
+    nn = 1
+    j = 0
+    for i, after in path:
+        moves += [INPUT] * (i - j)
+        moves.append(FLUSH_POP)
+        if kind is MachineKind.PS:
+            moves += [OUTPUT] * (after - nn)
+            nn = after
+        else:
+            for t in range(i - 1, j - 1, -1):
+                stack.append(v[t])
+                moves.append(DEQUEUE)
+                while stack and stack[-1] == nn:
+                    stack.pop()
+                    nn += 1
+                    moves.append(OUTPUT)
+        j = i
+    return moves
+
+
 _BACKWARDS = {Move.OUTPUT: Move.INPUT, Move.DEQUEUE: Move.PUSH_ONE}
 
 
 def _solve_backwards(kind: MachineKind, p: tuple[int, ...],
                      rec: Optional[list[Move]] = None) -> bool:
-    pqs = None if rec is None else []
-    if not _solve_pqs(dual_values(p), pqs):
+    d = dual_values(p)
+    path = None if rec is None else []
+    if not _solve_pqs(d, path):
         return False
     if rec is not None:
-        # pqs is the PQS run back to front: read forwards, the run on p
-        for move, run in groupby(pqs):
+        # the PQS run on the dual, read backwards: the run on p
+        for move, run in groupby(reversed(block_path_moves(MachineKind.PQS, d, path))):
             if move is Move.INPUT:
                 if kind is MachineKind.SQP:
                     rec.extend(Move.DEQUEUE for _ in run)
@@ -446,10 +459,6 @@ _SOLVERS = {
 }
 
 
-# The solvers that record their witness back to front.
-_BLOCK_SEARCHES = (MachineKind.PS, MachineKind.PQS)
-
-
 def decider(kind: MachineKind) -> Callable[[tuple[int, ...]], bool]:
     """`is_sortable(kind, Permutation(v))` on value tuples, with no
     Permutation built: the kind's solver, which for SP and SQP is the PQS
@@ -464,13 +473,13 @@ def is_sortable(kind: MachineKind, p: Permutation) -> bool:
 
 
 def sorting_witness(kind: MachineKind, p: Permutation) -> Optional[list[Move]]:
-    """A move sequence sorting p, or None; present iff `is_sortable`."""
+    """A move sequence sorting p, or None; present iff `is_sortable`.
+    PS and PQS hand back a block path, written out as moves."""
+    if kind is MachineKind.PS or kind is MachineKind.PQS:
+        path: list[tuple[int, int]] = []
+        return block_path_moves(kind, p.values, path) if _SOLVERS[kind](p.values, path) else None
     rec: list[Move] = []
-    if not _SOLVERS[kind](p.values, rec):
-        return None
-    if kind in _BLOCK_SEARCHES:
-        rec.reverse()
-    return rec
+    return rec if _SOLVERS[kind](p.values, rec) else None
 
 
 def replay(kind: MachineKind, p: Permutation, moves: Iterable[Move]) -> Permutation:
@@ -570,20 +579,6 @@ def pqs_child_ends(run: PqsRun, s: int) -> Optional[tuple[int, ...]]:
     return ends
 
 
-def _block_ends(rec: list[Move], n: int) -> tuple[int, ...]:
-    """The block ends of a `_solve_pqs` witness, recorded back to front:
-    each block's INPUTs follow its flush."""
-    ends = []
-    i = n
-    for move in rec:
-        if move is Move.FLUSH_POP:
-            ends.append(i)
-        elif move is Move.INPUT:
-            i -= 1
-    ends.reverse()
-    return tuple(ends)
-
-
 def pqs_child_run(c: tuple[int, ...], s: int, parent: Optional[PqsRun],
                   expand: bool) -> PqsRun | bool:
     """The walk's PQS oracle: is c, a member with len(c) inserted at site
@@ -592,37 +587,17 @@ def pqs_child_run(c: tuple[int, ...], s: int, parent: Optional[PqsRun],
     A site the parent's test accepts needs no search; any other site gets
     `_solve_pqs`.  A member's answer is its run when `expand` (the walk
     will ask about its children), else True; a non-member's is False.
-    A searched member's path is read off the search's witness.
+    A searched member's run is built on the block path the search hands
+    back.
     """
     if parent is not None and parent.cases[s] != _NO:
         return pqs_run(c, pqs_child_ends(parent, s)) if expand else True
     if not expand:
         return _solve_pqs(c)
-    rec: list[Move] = []
-    if not _solve_pqs(c, rec):
+    path: list[tuple[int, int]] = []
+    if not _solve_pqs(c, path):
         return False
-    return pqs_run(c, _block_ends(rec, len(c)))
-
-
-def pqs_path_moves(v: tuple[int, ...], ends: tuple[int, ...]) -> list[Move]:
-    """The moves of the block path with these ends on v: each block read,
-    flushed and drained through the stack, every forced output taken."""
-    moves: list[Move] = []
-    stack: list[int] = []
-    nn = 1
-    j = 0
-    for i in ends:
-        moves.extend((Move.INPUT,) * (i - j))
-        moves.append(Move.FLUSH_POP)
-        for t in range(i - 1, j - 1, -1):
-            stack.append(v[t])
-            moves.append(Move.DEQUEUE)
-            while stack and stack[-1] == nn:
-                stack.pop()
-                nn += 1
-                moves.append(Move.OUTPUT)
-        j = i
-    return moves
+    return pqs_run(c, tuple(i for i, _ in path))
 
 
 # ---------------------------------------------------------------------------

@@ -508,6 +508,13 @@ def _chk_pqs_basis(bound: int):
     return True, detail
 
 
+def _pqs_path_moves(v: tuple[int, ...], ends: tuple[int, ...]) -> list[machines.Move]:
+    """The PQS moves of the block path with these ends on v.  After each
+    block the next-needed value is the least value not read."""
+    path = [(i, min(set(range(1, i + 2)).difference(v[:i]))) for i in ends]
+    return machines.block_path_moves(MachineKind.PQS, v, path)
+
+
 @_check("pqs-walk-site-test-sound", fast=6, full=8)
 def _chk_pqs_site_test(bound: int):
     # The PQS walk takes a child its parent's site test accepts with no
@@ -518,7 +525,7 @@ def _chk_pqs_site_test(bound: int):
     for v, _, run in _walk(ClassSpec.from_machine(pqs), bound):
         if len(v) == bound:
             continue
-        if machines.replay(pqs, Permutation(v), machines.pqs_path_moves(v, run.ends)) != identity(len(v)):
+        if machines.replay(pqs, Permutation(v), _pqs_path_moves(v, run.ends)) != identity(len(v)):
             return False, f"the path the walk carries for {Permutation(v)} does not sort it"
         for s in range(len(v) + 1):
             ends = machines.pqs_child_ends(run, s)
@@ -528,7 +535,7 @@ def _chk_pqs_site_test(bound: int):
             c = Permutation(v[:s] + (len(v) + 1,) + v[s:])
             if not machines.is_sortable(pqs, c):
                 return False, f"the site test accepts {c}, which PQS cannot sort"
-            if machines.replay(pqs, c, machines.pqs_path_moves(c.values, ends)) != identity(len(c)):
+            if machines.replay(pqs, c, _pqs_path_moves(c.values, ends)) != identity(len(c)):
                 return False, f"the path the site test gives {c} does not sort it"
     return True, (
         f"{accepted} children the PQS walk's site test accepts for n <= {bound} are "

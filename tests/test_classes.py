@@ -335,7 +335,7 @@ class TestValuesOracle:
         searched = []
         search = machines._solve_pqs
         monkeypatch.setattr(
-            machines, "_solve_pqs", lambda p, rec=None: searched.append(p) or search(p, rec)
+            machines, "_solve_pqs", lambda p, path=None: searched.append(p) or search(p, path)
         )
         spec = ClassSpec.from_machine(MachineKind.PQS)
         assert count_by_length(spec, 7) == list(PQS_SEQUENCE[:7])

@@ -73,8 +73,8 @@ class TestSortable:
 
     @pytest.mark.parametrize("machine", [k.value for k in MachineKind])
     def test_length_bound(self, machine, capsys):
-        # Past the bound the CLI refuses the input: PS and PQS still recurse
-        # once per block and would end in RecursionError on long enough ones.
+        # Past the bound the CLI refuses the input with a usage error: the
+        # bound keeps one call short, and the longest input is accepted.
         n = cli.SORTABLE_MAX_LEN
         code, doc = run_json("sortable", "--machine", machine, str(identity(n)))
         assert code == 0

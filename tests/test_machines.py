@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import random
-import sys
 
 import pytest
 from hypothesis import given
@@ -189,8 +188,8 @@ class TestBlockSearch:
 
     @pytest.mark.parametrize("kind", [MachineKind.PS, MachineKind.PQS])
     def test_long_decreasing_input(self, kind):
-        # PS cuts n..1 into n blocks of one entry each, and one frame per
-        # block keeps 600 entries under Python's default recursion limit.
+        # PS cuts n..1 into n blocks of one entry each, one path frame per
+        # block in a loop, so 600 blocks need no recursion.
         p = Permutation(tuple(range(600, 0, -1)))
         assert replay(kind, p, sorting_witness(kind, p)) == identity(600)
         assert is_sortable(kind, p)
@@ -198,26 +197,25 @@ class TestBlockSearch:
     @pytest.mark.parametrize("kind, tail", [
         (MachineKind.PS, "2431"), (MachineKind.PQS, "243651"),  # basis elements
     ])
-    def test_each_boundary_fails_once(self, kind, tail):
+    def test_each_boundary_fails_once(self, kind, tail, monkeypatch):
         # 1..16, then an unsortable tail above it: every cut of the prefix
         # reaches the same boundaries, so a search that re-expanded a failed
-        # boundary would make about 2**16 frames.  With the memo there is at
-        # most one frame per pair of boundaries, and one to start.
+        # boundary would fail it again on every cut, about 2**16 times.
+        # The memo, the one table the search builds with `set()`, is seen
+        # through a `set` that records each boundary added to it.
         t = parse(tail).values
         p = Permutation(tuple(range(1, 17)) + tuple(16 + v for v in t))
-        frames = 0
+        added = []
 
-        def count(frame, event, arg):
-            nonlocal frames
-            if event == "call" and frame.f_code.co_name == "dfs":
-                frames += 1
+        class Recording(set):
+            def add(self, j):
+                added.append(j)
+                super().add(j)
 
-        sys.setprofile(count)
-        try:
-            assert not is_sortable(kind, p)
-        finally:
-            sys.setprofile(None)
-        assert frames <= 1 + len(p) * (len(p) + 1) // 2
+        monkeypatch.setattr(machines, "set", Recording, raising=False)
+        assert not is_sortable(kind, p)
+        assert added
+        assert len(added) == len(set(added))
 
     @pytest.mark.parametrize("kind", [MachineKind.PS, MachineKind.PQS])
     @given(p=perm_strategy(max_n=9))
@@ -252,17 +250,19 @@ class TestDiForcedLoop:
         assert is_sortable(MachineKind.DI, p)
         assert replay(MachineKind.DI, p, sorting_witness(MachineKind.DI, p)) == identity(3)
 
-    @pytest.mark.parametrize("kind", [MachineKind.DI, MachineKind.SP, MachineKind.SQP],
-                             ids=["di", "sp", "sqp"])
-    @pytest.mark.parametrize("p", [identity(1200), identity(1200).reverse()],
-                             ids=["identity", "reversed"])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+    @pytest.mark.parametrize("p", [
+        identity(1200), identity(1200).reverse(),
+        Permutation(tuple(t + 2 - 2 * (t % 2) for t in range(2400))),  # 2,1,4,3,...
+    ], ids=["identity", "reversed", "pairs"])
     def test_long_inputs(self, kind, p):
-        # DI's loop holds no frame per entry, and SP and SQP run the PQS
-        # search on the dual, one frame per block, which takes each of these
-        # inputs (their own duals) as one block.  So inputs past Python's
-        # default recursion limit return.
+        # No solver recurses: S and DI run one loop, and PS and PQS (and
+        # SP and SQP, the PQS search on the dual) loop over a list of path
+        # frames.  PS cuts 2,1,4,3,...,2400,2399 into 2400 blocks and PQS
+        # into 1200, and PS cuts n..1 into 1200: more blocks than Python's
+        # default recursion limit of 1000.
         assert is_sortable(kind, p)
-        assert replay(kind, p, sorting_witness(kind, p)) == identity(1200)
+        assert replay(kind, p, sorting_witness(kind, p)) == identity(len(p))
 
 
 class TestWitness:
