@@ -3,12 +3,19 @@
 A `ClassSpec` is a canonical text, a membership oracle on value tuples
 (`member_values`) and the oracle the walk asks about a child
 (`child_member`); its fingerprint, a cache key, is a hash of the text.
-Machine specs use the kind's decision (`machines.decider`, which for SP
-and SQP is the PQS search on the dual), basis specs `avoids_values` over
-their pattern tuples, and predicate specs wrap the tuple in a
-Permutation for their predicate; these oracles are module-level
-functions or partials of them, so they pickle whenever the predicate
-does.
+Machine specs decide membership by the kind's decision
+(`machines.decider`, which for SP and SQP is the PQS search on the
+dual), basis specs by `avoids_values` over their pattern tuples, and
+predicate specs wrap the tuple in a Permutation for their predicate;
+these oracles are module-level functions or partials of them, so they
+pickle whenever the predicate does.
+
+The SP and SQP specs are not walked: they carry `dual_of`, the PQS
+spec, and are counted, mined and listed as the PQS class read through
+the two-stack dual.  Their membership is the PQS decision on the dual,
+and the dual is an involution that keeps length and pattern containment,
+so their members are the duals of the PQS members and their basis the
+duals of the PQS basis.
 
 Every spec describes a permutation class, which is downward closed:
 deleting an entry of a member leaves a member.  Classes are counted and
@@ -69,6 +76,7 @@ from .perms import (
     avoids,  # unused here, but perfbench's tracer wraps classes.avoids
     avoids_values,
     avoids_values_through,
+    dual_values,
     is_simple_values,
     substitution_decompose_values,
 )
@@ -107,6 +115,11 @@ class ClassSpec:
     downward-closed class, since every count and basis is read off the
     walk; when the oracles pickle, `count_by_length` hands the spec and
     each subtree's run to worker processes as they are.
+
+    `dual_of`, when given, is a spec whose class is this one's image under
+    the two-stack dual (`perms.dual_values`): counts, members and basis
+    are read off its walk, and this spec's oracles are used only to
+    decide single permutations.
     """
 
     canonical_text: str
@@ -119,6 +132,7 @@ class ClassSpec:
     child_run: Callable[[tuple[int, ...], int, Any, bool], Any] | None = field(
         default=None, compare=False
     )
+    dual_of: "ClassSpec | None" = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.child_member is None:
@@ -149,7 +163,13 @@ class ClassSpec:
     @staticmethod
     def from_machine(kind: MachineKind) -> "ClassSpec":
         child_run = machines.pqs_child_run if kind is MachineKind.PQS else None
-        return ClassSpec(f"machine:{kind.value}", machines.decider(kind), child_run=child_run)
+        dual_of = (
+            ClassSpec.from_machine(MachineKind.PQS)
+            if kind in (MachineKind.SP, MachineKind.SQP) else None
+        )
+        return ClassSpec(
+            f"machine:{kind.value}", machines.decider(kind), child_run=child_run, dual_of=dual_of
+        )
 
     @staticmethod
     def from_predicate(name: str, member: Callable[[Permutation], bool]) -> "ClassSpec":
@@ -209,7 +229,10 @@ def _walk(
 
 def class_members(spec: ClassSpec, max_len: int) -> Iterator[tuple[int, ...]]:
     """Value tuples of a spec's members of length 1..max_len, each
-    yielded once, in the order of the generating-tree walk."""
+    yielded once, in the order of the generating-tree walk (of `dual_of`,
+    each member read through the dual, when the spec has one)."""
+    if spec.dual_of is not None:
+        return map(dual_values, class_members(spec.dual_of, max_len))
     return (v for v, _, _ in _walk(spec, max_len))
 
 
@@ -240,8 +263,11 @@ def count_by_length(spec: ClassSpec, max_n: int, jobs: int = 1) -> list[int]:
     members of length _PARTITION_LEN, one task each, on at most that many
     worker processes; each worker is handed the spec and the member's run
     and returns its counts by length, and the lists are summed in a fixed order, so the
-    result is identical for any job count.
+    result is identical for any job count.  A spec with `dual_of` has its
+    counts, since the dual keeps length, so workers only get that spec.
     """
+    if spec.dual_of is not None:
+        return count_by_length(spec.dual_of, max_n, jobs)
     if jobs > 1 and max_n > _PARTITION_LEN:
         counts = [0] * (max_n + 1)
         tasks = []
@@ -279,10 +305,15 @@ def compute_basis(spec: ClassSpec, max_len: int) -> list[Permutation]:
     the walk to max_len collects them all.  A rejected candidate of length
     m is minimal when its one-entry deletions are members; deleting m
     leaves its parent and deleting m - 1 leaves a member by the choice of
-    candidates, so only the other m - 2 deletions are tested.
+    candidates, so only the other m - 2 deletions are tested.  A spec with
+    `dual_of` has the duals of that spec's basis, since the dual keeps
+    pattern containment.
     """
     if max_len < 1:
         return []
+    if spec.dual_of is not None:
+        duals = (p.dual() for p in compute_basis(spec.dual_of, max_len))
+        return sorted(duals, key=lambda p: _by_length(p.values))
     if not spec.member_values((1,)):
         raise MalformedOracleError(
             f"{spec.canonical_text}: oracle rejects the singleton permutation; "

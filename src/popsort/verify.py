@@ -371,7 +371,8 @@ def _chk_pqs_triple(bound: int):
 
 # Criterion 06 compares the classes that the value-blind runs generate, so
 # it shares no code with the searches; `deciders-equal-generated-classes`
-# ties the searches to those classes.
+# ties the searches, and the class walks (SP and SQP the PQS walk read
+# through the dual), to those classes.
 
 @_check("sp-equals-sqp", fast=5, full=7, criterion="06")
 def _chk_sp_sqp(bound: int):
@@ -394,8 +395,13 @@ def _chk_pqs_dual(bound: int):
 def _chk_generated_classes(bound: int):
     for kind in _CHAINS:
         decide = machines.decider(kind)
+        walked: dict[int, set[tuple[int, ...]]] = {n: set() for n in range(1, bound + 1)}
+        for v in class_members(ClassSpec.from_machine(kind), bound):
+            walked[len(v)].add(v)
         for n in range(bound + 1):
             members = generated_class(kind, n)
+            if n and walked[n] != members:
+                return False, f"{kind.name} class walk disagrees with the generated class at length {n}"
             for p in all_perms(n):
                 member = p.values in members
                 if decide(p.values) != member:
@@ -404,8 +410,8 @@ def _chk_generated_classes(bound: int):
                         and (machines.sorting_witness(kind, p) is not None) != member):
                     return False, f"{kind.name} witness presence disagrees with the generated class on {p}"
     return True, (
-        f"S, PS, PQS, SP and SQP deciders, and SP and SQP witness presence, == the classes "
-        f"their value-blind runs generate for n <= {bound}"
+        f"S, PS, PQS, SP and SQP deciders and class walks, and SP and SQP witness presence, "
+        f"== the classes their value-blind runs generate for n <= {bound}"
     )
 
 

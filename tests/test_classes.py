@@ -202,8 +202,7 @@ class TestWalkAgainstReferences:
     @pytest.mark.parametrize("kind", list(MachineKind), ids=lambda k: k.value)
     def test_machine_counts_equal_scan(self, kind):
         spec = ClassSpec.from_machine(kind)
-        top = 7 if kind is MachineKind.SQP else 8
-        lengths = range(0, top + 1)
+        lengths = range(0, 9)
         assert [count_members(spec, n) for n in lengths] == [
             scan_count(spec, n) for n in lengths
         ]
@@ -222,11 +221,7 @@ class TestWalkAgainstReferences:
             scan_count(STRUCTURAL_SPEC, n) for n in lengths
         ]
 
-    @pytest.mark.parametrize(
-        "kind",
-        [MachineKind.S, MachineKind.PS, MachineKind.PQS, MachineKind.SP, MachineKind.DI],
-        ids=lambda k: k.value,
-    )
+    @pytest.mark.parametrize("kind", list(MachineKind), ids=lambda k: k.value)
     def test_basis_equals_level_by_level_mining(self, kind):
         spec = ClassSpec.from_machine(kind)
         assert compute_basis(spec, 8) == level_basis(spec, 8)
@@ -234,7 +229,11 @@ class TestWalkAgainstReferences:
     @pytest.mark.parametrize("spec, max_n", [
         pytest.param(spec, max_n, id=str(spec))
         for spec, max_n in (
-            (ClassSpec.from_machine(MachineKind.PQS), 8), (PS_BASIS_SPEC, 8), (STRUCTURAL_SPEC, 7)
+            (ClassSpec.from_machine(MachineKind.PQS), 8),
+            # SP's counts are the PQS walk's, read before the split
+            (ClassSpec.from_machine(MachineKind.SP), 8),
+            (PS_BASIS_SPEC, 8),
+            (STRUCTURAL_SPEC, 7),
         )
     ])
     def test_jobs_split_by_subtree(self, spec, max_n):
@@ -329,17 +328,32 @@ class TestValuesOracle:
                         for expand in (False, True):
                             assert grow(c, s, copy, expand) == spec.child_run(c, s, run, expand)
 
-    def test_pqs_walk_searches_few_children(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind", [MachineKind.PQS, MachineKind.SP, MachineKind.SQP], ids=lambda k: k.value
+    )
+    def test_pqs_walk_searches_few_children(self, kind, monkeypatch):
         # The parent's site test accepts most PQS children with no search:
         # without it the walk to 7 runs 5,505 searches, with it about 1,355.
-        searched = []
-        search = machines._solve_pqs
+        # SP and SQP are counted by the same walk, read through the dual.
+        # Walked as their own classes, with the PQS search on the dual as
+        # the oracle, they would make 5,511 searches: the dual of a maximum
+        # inserted at site s is a new first entry, which no site test sees.
+        searched, backwards = [], []
+        search, solve_backwards = machines._solve_pqs, machines._solve_backwards
         monkeypatch.setattr(
             machines, "_solve_pqs", lambda p, path=None: searched.append(p) or search(p, path)
         )
-        spec = ClassSpec.from_machine(MachineKind.PQS)
+        monkeypatch.setattr(
+            machines, "_solve_backwards",
+            lambda k, p, rec=None: backwards.append(p) or solve_backwards(k, p, rec),
+        )
+        for k in (MachineKind.SP, MachineKind.SQP):
+            # the deciders are partials bound at import; rebind them to the spy
+            monkeypatch.setitem(machines._SOLVERS, k, partial(machines._solve_backwards, k))
+        spec = ClassSpec.from_machine(kind)
         assert count_by_length(spec, 7) == list(PQS_SEQUENCE[:7])
         assert 0 < len(searched) < 2000
+        assert backwards == []
 
     @pytest.mark.parametrize("spec", WALKED_SPECS, ids=str)
     def test_count_builds_no_permutation(self, spec, monkeypatch):
@@ -445,7 +459,9 @@ class TestWilfTable:
 
 
 class TestClassMembers:
-    @pytest.mark.parametrize("spec", [ClassSpec.from_machine(MachineKind.PQS), PS_BASIS_SPEC])
+    @pytest.mark.parametrize("spec", [
+        ClassSpec.from_machine(MachineKind.PQS), PS_BASIS_SPEC, ClassSpec.from_machine(MachineKind.SP)
+    ])
     def test_each_member_once_counted_by_length(self, spec):
         members = list(class_members(spec, 7))
         assert len(set(members)) == len(members)
